@@ -31,19 +31,13 @@ fn main() {
 ///    thread keeps every container it ever served in its scheduler binding.
 fn ablation_prune() {
     let mut rep = Report::new("Ablation 1: scheduler-binding pruning (§4.3)");
-    // The RC kernel prunes every second by default; compare against a
-    // kernel that never prunes by toggling the config through a custom
-    // fig11-style run. (run_fig11 uses the default config; we measure the
-    // binding growth indirectly through tail latency.)
+    // The RC kernel prunes every second by default; compare it against a
+    // kernel that never prunes, on the per-request-container baseline load.
     for (label, prune) in [("pruning on (1s)", true), ("pruning off", false)] {
         let mut cfg = KernelConfig::resource_containers();
         if !prune {
             cfg.sched.prune_interval = Nanos::ZERO;
         }
-        // Piggyback on fig11's high/low setup at N=25 via a manual run:
-        // reuse run_fig11 for the pruned default, and report that the
-        // numbers match; for the unpruned variant we run the same scenario
-        // with the modified kernel through the baseline helper.
         let r = workload::scenarios::baseline::run_baseline(workload::scenarios::BaselineParams {
             kernel: cfg,
             per_request_containers: true,
@@ -133,8 +127,10 @@ fn ablation_share_policy() {
         "  lottery (share->tickets)         : {:.1}%",
         run(&mut lo) * 100.0
     ));
-    rep.line("flat policies approximate the ratio via tickets but cannot honor");
-    rep.line("nesting or CPU limits; the hierarchy-aware scheduler enforces both.");
+    rep.line("flat policies miss the target: they size tickets from each task's own");
+    rep.line("binding, here the leaf time_shared(10) containers, so the 70/30 parents");
+    rep.line("are invisible and both tasks hold equal tickets (~50/50). Only the");
+    rep.line("hierarchy-aware scheduler honors nested shares (and CPU limits).");
     rep.emit("ablation_share_policy");
 }
 
