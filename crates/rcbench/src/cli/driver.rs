@@ -4,18 +4,18 @@
 //!
 //! The registry ([`workload::ScenarioRegistry`]) stays a pure scenario
 //! table; everything filesystem- and JSON-shaped lives here. Artifacts
-//! follow the repo-wide convention: `results/<base>.json` (Chrome trace),
+//! follow the repo-wide convention: `results/<name>.txt` for each text
+//! report, `results/<base>.json` (Chrome trace),
 //! `results/<base>_metrics.json` (metrics dump), and — for the cluster
 //! scenario — `results/<base>_dump.txt` (the deterministic state dump CI
 //! byte-diffs) plus `results/<base>_result.json` (the structured result).
 //! Both JSON artifacts are round-tripped through the crate's parser and
-//! checked for the scenario's marker substrings before anything touches
-//! disk.
+//! checked for the scenario's markers and sections before anything
+//! touches disk.
 
 use workload::{Outcome, ScenarioArgs, ScenarioSpec};
 
-use crate::json;
-use crate::Report;
+use crate::json::{self, Value};
 
 pub fn run(spec: &ScenarioSpec, argv: &[String]) -> Result<(), String> {
     let mut args = ScenarioArgs::default();
@@ -34,7 +34,10 @@ pub fn run(spec: &ScenarioSpec, argv: &[String]) -> Result<(), String> {
             other => return Err(format!("unexpected argument '{other}'")),
         }
     }
-    let base = out.unwrap_or_else(|| (spec.default_out)(&args));
+    let base = out.unwrap_or_else(|| match spec.default_out {
+        Some(default_out) => default_out(&args),
+        None => spec.name.to_string(),
+    });
 
     let outcome = (spec.run)(&args)?;
     for line in &outcome.headline {
@@ -42,25 +45,18 @@ pub fn run(spec: &ScenarioSpec, argv: &[String]) -> Result<(), String> {
     }
 
     if let Some(session) = &outcome.session {
-        write_session_artifacts(spec, session, &base)?;
+        write_session_artifacts(session, &base, spec.trace_markers, spec.metrics_sections)?;
     }
     if !outcome.cluster_sessions.is_empty() {
         write_cluster_artifacts(spec, &outcome, &base)?;
     }
-    if let Some((_, title, lines)) = &outcome.report {
-        let mut report = Report::new(title);
-        for l in lines {
-            if l.is_empty() {
-                report.blank();
-            } else {
-                report.line(l.clone());
-            }
-        }
-        let _ = std::fs::create_dir_all("results");
-        report.emit(&base);
+    for report in &outcome.reports {
+        let text = report.render();
+        println!("{text}");
+        write(&format!("results/{}.txt", report.name), &text)?;
     }
 
-    if check {
+    if check && !outcome.checks.is_empty() {
         if let Some(failed) = outcome.checks.iter().find(|c| !c.ok) {
             return Err(format!("{} check failed: {}", failed.label, failed.detail));
         }
@@ -105,33 +101,46 @@ fn validate_chrome(chrome: &str, markers: &[&str]) -> Result<usize, String> {
     Ok(n_events)
 }
 
-/// Round-trips a metrics dump through the JSON parser and checks the
-/// scenario's marker substrings.
-fn validate_metrics(metrics: &str, markers: &[&str]) -> Result<(), String> {
-    json::parse(metrics).map_err(|e| format!("metrics dump not valid JSON: {e}"))?;
-    for m in markers {
-        if !metrics.contains(m) {
-            return Err(format!("metrics dump missing expected marker {m:?}"));
+/// Round-trips a metrics dump through the JSON parser and requires each
+/// named top-level section to be a non-empty array or object.
+fn validate_metrics(metrics: &str, sections: &[&str]) -> Result<(), String> {
+    let parsed = json::parse(metrics).map_err(|e| format!("metrics dump not valid JSON: {e}"))?;
+    for s in sections {
+        let filled = match parsed.get(s) {
+            Some(Value::Array(v)) => !v.is_empty(),
+            Some(Value::Object(v)) => !v.is_empty(),
+            _ => false,
+        };
+        if !filled {
+            return Err(format!("metrics dump lacks a non-empty {s} section"));
         }
     }
     Ok(())
 }
 
-fn write_session_artifacts(
-    spec: &ScenarioSpec,
+/// Writes one artifact under `results/`, creating the directory if needed.
+fn write(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::create_dir_all("results").map_err(|e| e.to_string())?;
+    std::fs::write(path, contents).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Validates a single-kernel session's Chrome trace and metrics dump and
+/// writes them as `results/<base>.json` and `results/<base>_metrics.json`.
+pub(super) fn write_session_artifacts(
     session: &rctrace::TraceSession,
     base: &str,
+    trace_markers: &[&str],
+    metrics_sections: &[&str],
 ) -> Result<(), String> {
     let chrome = rctrace::chrome_trace_json(session);
     let metrics = rctrace::metrics_json(session);
-    let n_events = validate_chrome(&chrome, spec.trace_markers)?;
-    validate_metrics(&metrics, spec.metrics_markers)?;
+    let n_events = validate_chrome(&chrome, trace_markers)?;
+    validate_metrics(&metrics, metrics_sections)?;
 
-    std::fs::create_dir_all("results").map_err(|e| e.to_string())?;
     let trace_path = format!("results/{base}.json");
     let metrics_path = format!("results/{base}_metrics.json");
-    std::fs::write(&trace_path, &chrome).map_err(|e| e.to_string())?;
-    std::fs::write(&metrics_path, &metrics).map_err(|e| e.to_string())?;
+    write(&trace_path, &chrome)?;
+    write(&metrics_path, &metrics)?;
     println!(
         "{trace_path}: {n_events} events ({} emitted, {} dropped); {metrics_path} written",
         session.trace.emitted, session.trace.dropped
@@ -147,9 +156,8 @@ fn write_cluster_artifacts(
     let chrome = rctrace::cluster_chrome_trace_json(&outcome.cluster_sessions);
     let n_events = validate_chrome(&chrome, spec.trace_markers)?;
 
-    std::fs::create_dir_all("results").map_err(|e| e.to_string())?;
     let trace_path = format!("results/{base}.json");
-    std::fs::write(&trace_path, &chrome).map_err(|e| e.to_string())?;
+    write(&trace_path, &chrome)?;
     println!(
         "{trace_path}: {n_events} events across {} node tracks",
         outcome.cluster_sessions.len()
@@ -157,7 +165,7 @@ fn write_cluster_artifacts(
 
     if let Some(cluster) = &outcome.cluster {
         let dump_path = format!("results/{base}_dump.txt");
-        std::fs::write(&dump_path, &cluster.dump).map_err(|e| e.to_string())?;
+        write(&dump_path, &cluster.dump)?;
         let result_json = json::to_string(cluster)
             .map_err(|e| format!("cluster result not serializable: {e}"))?;
         json::parse(&result_json).map_err(|e| format!("cluster result not valid JSON: {e}"))?;

@@ -8,10 +8,10 @@
 //! baseline future PRs compare against.
 //!
 //! ```sh
-//! cargo run --release -p rcbench --bin rcbench -- perf
-//! cargo run --release -p rcbench --bin rcbench -- perf baseline --floor 50000
-//! cargo run --release -p rcbench --bin rcbench -- perf smp --reduced
-//! cargo run --release -p rcbench --bin rcbench -- perf --check
+//! cargo run --release -p rcbench -- perf
+//! cargo run --release -p rcbench -- perf baseline --floor 50000
+//! cargo run --release -p rcbench -- perf smp --reduced
+//! cargo run --release -p rcbench -- perf --check
 //! ```
 //!
 //! Scenarios: `baseline`, `smp`, `qos`, `mem`, `span` — one

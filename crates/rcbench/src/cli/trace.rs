@@ -4,14 +4,15 @@
 //! metrics dump.
 //!
 //! ```sh
-//! cargo run --release -p rcbench --bin rcbench -- trace disk_tenants
-//! cargo run --release -p rcbench --bin rcbench -- trace fig14 --reduced
+//! cargo run --release -p rcbench -- trace disk_tenants
+//! cargo run --release -p rcbench -- trace fig14 --reduced
 //! ```
 //!
 //! Scenarios: `baseline`, `fig11`, `fig14`, `disk_tenants`. The
 //! `--reduced` flag shrinks the run for CI smoke tests. Both artifacts
-//! are re-parsed before being written; the run fails if either is not
-//! well-formed JSON or the trace is empty.
+//! go through the registry driver's validation and writer: the run fails
+//! if either is not well-formed JSON, the trace is empty, or the metrics
+//! dump has no containers.
 
 use rctrace::TraceConfig;
 use simos::KernelConfig;
@@ -20,7 +21,7 @@ use workload::scenarios::{
     Fig11Params, Fig11System, Fig14Params,
 };
 
-use crate::json;
+use super::driver;
 
 fn run_scenario(name: &str, reduced: bool) -> Result<(), String> {
     rctrace::start(TraceConfig::default());
@@ -74,39 +75,7 @@ fn run_scenario(name: &str, reduced: bool) -> Result<(), String> {
         }
     }
     let session = rctrace::finish().ok_or("no trace session captured")?;
-
-    let chrome = rctrace::chrome_trace_json(&session);
-    let metrics = rctrace::metrics_json(&session);
-
-    // Validate both artifacts by round-tripping through the JSON parser
-    // before anything touches disk.
-    let parsed = json::parse(&chrome).map_err(|e| format!("chrome trace not valid JSON: {e}"))?;
-    let n_events = parsed
-        .get("traceEvents")
-        .and_then(|v| v.as_array())
-        .map(|a| a.len())
-        .ok_or("chrome trace missing traceEvents array")?;
-    if n_events == 0 {
-        return Err("chrome trace is empty".into());
-    }
-    let parsed = json::parse(&metrics).map_err(|e| format!("metrics dump not valid JSON: {e}"))?;
-    let n_containers = parsed
-        .get("containers")
-        .and_then(|v| v.as_array())
-        .map(|a| a.len())
-        .ok_or("metrics dump missing containers array")?;
-
-    std::fs::create_dir_all("results").map_err(|e| e.to_string())?;
-    let trace_path = format!("results/trace_{name}.json");
-    let metrics_path = format!("results/trace_{name}_metrics.json");
-    std::fs::write(&trace_path, &chrome).map_err(|e| e.to_string())?;
-    std::fs::write(&metrics_path, &metrics).map_err(|e| e.to_string())?;
-    println!(
-        "{trace_path}: {n_events} events ({} emitted, {} dropped); \
-         {metrics_path}: {n_containers} containers",
-        session.trace.emitted, session.trace.dropped
-    );
-    Ok(())
+    driver::write_session_artifacts(&session, &format!("trace_{name}"), &[], &["containers"])
 }
 
 pub fn run(argv: &[String]) -> Result<(), String> {

@@ -1,101 +1,11 @@
-//! Shared report formatting for the benchmark binaries, plus the
-//! unified [`cli`] every experiment runs behind.
+//! The `rcbench` command-line interface ([`cli`]) every experiment runs
+//! behind, plus the crate's JSON emitter and parser ([`json`]).
 //!
-//! Every `rcbench` binary regenerates one table or figure from the paper's
-//! evaluation and prints it as an aligned text table with the paper's
-//! reported values alongside, then appends the same text to
-//! `results/<name>.txt` when a `results/` directory exists.
-//!
-//! The `rcbench` multiplexer binary dispatches subcommands through
-//! [`cli::dispatch`]; the historical per-experiment binaries are
-//! one-line shims over [`cli::shim`].
+//! `rcbench <subcommand>` regenerates one table or figure from the
+//! paper's evaluation (or runs one of the tenant-isolation experiments),
+//! prints it with the paper's reported values alongside, and writes its
+//! artifacts under `results/`. Every experiment is an entry in
+//! [`workload::ScenarioRegistry`]; `rcbench help` lists them.
 
 pub mod cli;
 pub mod json;
-
-use std::fmt::Write as _;
-use std::path::Path;
-
-/// A simple aligned text table.
-#[derive(Debug, Default)]
-pub struct Report {
-    title: String,
-    lines: Vec<String>,
-}
-
-impl Report {
-    /// Creates a report with a title block.
-    pub fn new(title: &str) -> Self {
-        Report {
-            title: title.to_string(),
-            lines: Vec::new(),
-        }
-    }
-
-    /// Adds one preformatted line.
-    pub fn line(&mut self, s: impl Into<String>) {
-        self.lines.push(s.into());
-    }
-
-    /// Adds a blank line.
-    pub fn blank(&mut self) {
-        self.lines.push(String::new());
-    }
-
-    /// Renders the report.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let bar = "=".repeat(self.title.len());
-        let _ = writeln!(out, "{}\n{}", self.title, bar);
-        for l in &self.lines {
-            let _ = writeln!(out, "{l}");
-        }
-        out
-    }
-
-    /// Prints to stdout and, if `results/` exists, writes
-    /// `results/<name>.txt`.
-    pub fn emit(&self, name: &str) {
-        let text = self.render();
-        println!("{text}");
-        let dir = Path::new("results");
-        if dir.is_dir() {
-            let _ = std::fs::write(dir.join(format!("{name}.txt")), &text);
-        }
-    }
-}
-
-/// Formats a measured-vs-paper pair with the ratio.
-pub fn vs(measured: f64, paper: f64, unit: &str) -> String {
-    if paper == 0.0 {
-        return format!("{measured:.1}{unit} (paper: n/a)");
-    }
-    format!(
-        "{measured:.1}{unit} (paper {paper:.1}{unit}, ratio {:.2})",
-        measured / paper
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn render_contains_title_and_lines() {
-        let mut r = Report::new("Table 1");
-        r.line("a | b");
-        r.blank();
-        r.line("c");
-        let s = r.render();
-        assert!(s.contains("Table 1"));
-        assert!(s.contains("a | b"));
-        assert!(s.ends_with("c\n"));
-    }
-
-    #[test]
-    fn vs_formats_ratio() {
-        let s = vs(300.0, 150.0, "us");
-        assert!(s.contains("ratio 2.00"), "{s}");
-        assert!(vs(1.0, 0.0, "x").contains("n/a"));
-    }
-}

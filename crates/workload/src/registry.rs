@@ -4,11 +4,17 @@
 //! Each [`ScenarioSpec`] couples a name with a runner that builds the
 //! scenario's parameters from generic [`ScenarioArgs`], runs it (tracing
 //! where the experiment's artifacts need a trace), and returns a
-//! structured [`Outcome`]: headline lines to print, trace sessions to
-//! export, self-[`Check`]s for CI gates, and (for the cluster scenario)
-//! the determinism dump CI byte-diffs. The CLI layer owns everything
+//! structured [`Outcome`]: headline lines to print, text [`Report`]s
+//! (the paper's tables and figures), trace sessions to export,
+//! self-[`Check`]s for CI gates, and (for the cluster scenario) the
+//! determinism dump CI byte-diffs. The CLI layer owns everything
 //! filesystem- and JSON-shaped — artifact validation, writing, exit
 //! codes — so the registry stays a pure scenario table.
+
+mod paper;
+mod span;
+
+use std::fmt::Write as _;
 
 use rctrace::TraceConfig;
 use simcore::Nanos;
@@ -50,9 +56,122 @@ pub struct Check {
 }
 
 impl Check {
-    fn new(label: &'static str, ok: bool, detail: String) -> Self {
-        Check { label, ok, detail }
+    pub(crate) fn new(label: &'static str, ok: bool, detail: impl Into<String>) -> Self {
+        Check {
+            label,
+            ok,
+            detail: detail.into(),
+        }
     }
+
+    /// `value > bound`.
+    pub(crate) fn above(label: &'static str, value: f64, bound: f64) -> Self {
+        Check::bound(label, value > bound, value, ">", bound)
+    }
+
+    /// `value >= bound`.
+    pub(crate) fn at_least(label: &'static str, value: f64, bound: f64) -> Self {
+        Check::bound(label, value >= bound, value, ">=", bound)
+    }
+
+    /// `value < bound`.
+    pub(crate) fn below(label: &'static str, value: f64, bound: f64) -> Self {
+        Check::bound(label, value < bound, value, "<", bound)
+    }
+
+    /// `value <= bound`.
+    pub(crate) fn at_most(label: &'static str, value: f64, bound: f64) -> Self {
+        Check::bound(label, value <= bound, value, "<=", bound)
+    }
+
+    fn bound(label: &'static str, ok: bool, value: f64, op: &str, bound: f64) -> Self {
+        Check::new(label, ok, format!("{value:.3}, needs {op} {bound:.3}"))
+    }
+
+    /// `|value - target| < tol`.
+    pub(crate) fn near(label: &'static str, value: f64, target: f64, tol: f64) -> Self {
+        let ok = (value - target).abs() < tol;
+        Check::new(label, ok, format!("{value:.3}, needs {target:.3} ± {tol}"))
+    }
+
+    /// One [`Check::near`] per tenant: each measured share within `tol`
+    /// of its configured share.
+    pub(crate) fn shares(
+        label: &'static str,
+        configured: &[f64],
+        measured: &[f64],
+        tol: f64,
+    ) -> Vec<Check> {
+        let pairs = configured.iter().zip(measured);
+        pairs
+            .map(|(&c, &m)| Check::near(label, m, c, tol))
+            .collect()
+    }
+}
+
+/// Panics with every failed check's detail: how unit tests assert the
+/// same predicates `--check` enforces.
+#[cfg(test)]
+pub(crate) fn assert_checks(checks: &[Check]) {
+    let failed: Vec<String> = checks
+        .iter()
+        .filter(|c| !c.ok)
+        .map(|c| format!("{}: {}", c.label, c.detail))
+        .collect();
+    assert!(failed.is_empty(), "failed checks: {failed:#?}");
+}
+
+/// A titled text table: one of the paper's tables or figures, printed
+/// and written to `results/<name>.txt` by the CLI.
+#[derive(Debug)]
+pub struct Report {
+    /// Artifact basename.
+    pub name: &'static str,
+    title: String,
+    lines: Vec<String>,
+}
+
+impl Report {
+    /// Creates an empty report with a title block.
+    pub fn new(name: &'static str, title: &str) -> Self {
+        Report {
+            name,
+            title: title.to_string(),
+            lines: Vec::new(),
+        }
+    }
+
+    /// Adds one preformatted line.
+    pub fn line(&mut self, s: impl Into<String>) {
+        self.lines.push(s.into());
+    }
+
+    /// Adds a blank line.
+    pub fn blank(&mut self) {
+        self.lines.push(String::new());
+    }
+
+    /// Renders the title, its underline and every line.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        let bar = "=".repeat(self.title.len());
+        let _ = writeln!(out, "{}\n{}", self.title, bar);
+        for l in &self.lines {
+            let _ = writeln!(out, "{l}");
+        }
+        out
+    }
+}
+
+/// Formats a measured-vs-paper pair with the ratio.
+pub fn vs(measured: f64, paper: f64, unit: &str) -> String {
+    if paper == 0.0 {
+        return format!("{measured:.1}{unit} (paper: n/a)");
+    }
+    format!(
+        "{measured:.1}{unit} (paper {paper:.1}{unit}, ratio {:.2})",
+        measured / paper
+    )
 }
 
 /// What a scenario run produced, for the CLI to print and persist.
@@ -72,9 +191,8 @@ pub struct Outcome {
     /// Full cluster result (JSON artifact + the determinism dump CI
     /// byte-diffs).
     pub cluster: Option<ClusterTenantsResult>,
-    /// Text-report lines (`""` = blank): written as `results/<name>.txt`
-    /// under the given `(name, title)` in addition to being printed.
-    pub report: Option<(String, String, Vec<String>)>,
+    /// Text reports, each printed and written under its own name.
+    pub reports: Vec<Report>,
 }
 
 /// A named scenario: metadata plus its runner.
@@ -86,10 +204,11 @@ pub struct ScenarioSpec {
     /// Substrings the Chrome trace artifact must contain (validated by
     /// the CLI before writing; empty when the scenario emits no trace).
     pub trace_markers: &'static [&'static str],
-    /// Substrings the metrics dump must contain.
-    pub metrics_markers: &'static [&'static str],
-    /// Default artifact basename for `--out`.
-    pub default_out: fn(&ScenarioArgs) -> String,
+    /// Top-level sections the metrics dump must hold, each non-empty.
+    pub metrics_sections: &'static [&'static str],
+    /// Trace-artifact basename when `--out` is absent; `None` means the
+    /// scenario's name. Reports always use their own names.
+    pub default_out: Option<fn(&ScenarioArgs) -> String>,
     /// Runs the scenario.
     pub run: fn(&ScenarioArgs) -> Result<Outcome, String>,
 }
@@ -99,57 +218,87 @@ pub struct ScenarioRegistry {
     specs: Vec<ScenarioSpec>,
 }
 
+impl ScenarioSpec {
+    /// A scenario whose only artifacts are its text reports.
+    fn reports(
+        name: &'static str,
+        about: &'static str,
+        run: fn(&ScenarioArgs) -> Result<Outcome, String>,
+    ) -> Self {
+        ScenarioSpec {
+            name,
+            about,
+            trace_markers: &[],
+            metrics_sections: &[],
+            default_out: None,
+            run,
+        }
+    }
+}
+
 impl ScenarioRegistry {
     /// The standard registry behind `rcbench <subcommand>`.
     pub fn standard() -> Self {
         ScenarioRegistry {
             specs: vec![
-                ScenarioSpec {
-                    name: "disk",
-                    about: "disk-bandwidth isolation: 70/30 fixed-share tenants vs FIFO",
-                    trace_markers: &[],
-                    metrics_markers: &[],
-                    default_out: |_| "fig_disk".to_string(),
-                    run: run_disk,
-                },
+                ScenarioSpec::reports("baseline", "§5.3/§5.4 throughput", paper::baseline),
+                ScenarioSpec::reports("fig11", "Figure 11: priority latency", paper::fig11),
+                ScenarioSpec::reports("fig12_13", "Figures 12/13: CGI control", paper::fig12_13),
+                ScenarioSpec::reports("fig14", "Figure 14: SYN flood (slow)", paper::fig14),
+                ScenarioSpec::reports("virtual_servers", "§5.8 guest CPU", paper::virtual_servers),
+                ScenarioSpec::reports("fig_all", "all figures, abbreviated", paper::fig_all),
+                ScenarioSpec::reports("ablations", "design ablations", paper::ablations),
+                ScenarioSpec::reports(
+                    "disk",
+                    "disk-bandwidth isolation: 70/30 fixed-share tenants vs FIFO",
+                    run_disk,
+                ),
                 ScenarioSpec {
                     name: "smp",
                     about: "multiprocessor tenant shares with migration (traced)",
                     trace_markers: &[],
-                    metrics_markers: &[],
-                    default_out: |a| format!("smp_ncpus{}", a.ncpus.unwrap_or(4)),
+                    metrics_sections: &[],
+                    default_out: Some(|a| format!("smp_ncpus{}", a.ncpus.unwrap_or(4))),
                     run: run_smp,
                 },
                 ScenarioSpec {
                     name: "qos",
                     about: "link QoS: WFQ qdisc vs FIFO under a blast tenant (traced)",
                     trace_markers: &["\"link\""],
-                    metrics_markers: &["\"link\""],
-                    default_out: |_| "qos".to_string(),
+                    metrics_sections: &["link"],
+                    default_out: None,
                     run: run_qos,
                 },
                 ScenarioSpec {
                     name: "fault",
                     about: "SYN flood + seeded fault injection on the defended kernel (traced)",
                     trace_markers: &["\"fault\""],
-                    metrics_markers: &[],
-                    default_out: |_| "fault".to_string(),
+                    metrics_sections: &[],
+                    default_out: None,
                     run: run_fault,
                 },
                 ScenarioSpec {
                     name: "mem",
                     about: "memory isolation: cache hog vs guaranteed tenant (traced)",
                     trace_markers: &["mem_bytes"],
-                    metrics_markers: &["\"mem\""],
-                    default_out: |_| "mem".to_string(),
+                    metrics_sections: &["mem"],
+                    default_out: None,
                     run: run_mem,
+                },
+                ScenarioSpec {
+                    name: "span",
+                    about: "causal-span tail-latency blame report (traced)",
+                    trace_markers: &["\"request\"", "SLO violation"],
+                    metrics_sections: &["spans", "slo"],
+                    default_out: None,
+                    run: span::run_span,
                 },
                 ScenarioSpec {
                     name: "cluster",
                     about: "cluster scale-out: global 70/30 split across 8 nodes (traced)",
                     trace_markers: &["node0 cpu"],
-                    metrics_markers: &[],
-                    default_out: |_| "cluster".to_string(),
+                    metrics_sections: &[],
+                    default_out: None,
                     run: run_cluster,
                 },
             ],
@@ -165,11 +314,6 @@ impl ScenarioRegistry {
     pub fn iter(&self) -> impl Iterator<Item = &ScenarioSpec> {
         self.specs.iter()
     }
-
-    /// Registered names, for help/error text.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.specs.iter().map(|s| s.name).collect()
-    }
 }
 
 fn run_disk(args: &ScenarioArgs) -> Result<Outcome, String> {
@@ -183,16 +327,19 @@ fn run_disk(args: &ScenarioArgs) -> Result<Outcome, String> {
         })
     };
 
-    let mut lines: Vec<String> = Vec::new();
-    lines.push("disk-time split at 8 hog clients:".to_string());
-    lines.push(format!(
+    let mut rep = Report::new(
+        "fig_disk",
+        "disk-bandwidth isolation: 70/30 fixed-share tenants",
+    );
+    rep.line("disk-time split at 8 hog clients:");
+    rep.line(format!(
         "{:<8} {:>12} {:>12} {:>12} {:>12} {:>8}",
         "sched", "hog conf", "hog meas", "victim conf", "victim meas", "disk%"
     ));
     let mut share_at_8 = None;
     for sched in [DiskSchedKind::Fifo, DiskSchedKind::Share] {
         let r = run(sched, 8);
-        lines.push(format!(
+        rep.line(format!(
             "{:<8} {:>11.1}% {:>11.1}% {:>11.1}% {:>11.1}% {:>7.1}%",
             r.sched,
             r.configured[0] * 100.0,
@@ -205,10 +352,10 @@ fn run_disk(args: &ScenarioArgs) -> Result<Outcome, String> {
             share_at_8 = Some(r);
         }
     }
-    lines.push(String::new());
+    rep.blank();
 
-    lines.push("victim throughput vs hog load:".to_string());
-    lines.push(format!(
+    rep.line("victim throughput vs hog load:");
+    rep.line(format!(
         "{:<14} {:>10} {:>16} {:>16}",
         "hog clients", "sched", "victim req/s", "victim ms"
     ));
@@ -221,7 +368,7 @@ fn run_disk(args: &ScenarioArgs) -> Result<Outcome, String> {
     for &hogs in hog_loads {
         for sched in [DiskSchedKind::Fifo, DiskSchedKind::Share] {
             let r = run(sched, hogs);
-            lines.push(format!(
+            rep.line(format!(
                 "{:<14} {:>10} {:>16.1} {:>16.1}",
                 hogs, r.sched, r.throughputs[1], r.latencies_ms[1]
             ));
@@ -230,44 +377,26 @@ fn run_disk(args: &ScenarioArgs) -> Result<Outcome, String> {
             }
         }
     }
-    lines.push(String::new());
-    lines.push("paper §7: \"the container mechanism is general enough to encompass".to_string());
-    lines.push("other system resources, such as disk bandwidth\"; the share-aware".to_string());
-    lines.push("I/O scheduler holds the victim's service flat under any hog load.".to_string());
+    rep.blank();
+    rep.line("paper §7: \"the container mechanism is general enough to encompass");
+    rep.line("other system resources, such as disk bandwidth\"; the share-aware");
+    rep.line("I/O scheduler holds the victim's service flat under any hog load.");
 
     let share_at_8 = share_at_8.expect("Share arm ran");
-    let mut checks = Vec::new();
-    for (c, m) in share_at_8.configured.iter().zip(&share_at_8.disk_fractions) {
-        checks.push(Check::new(
-            "share-split",
-            (c - m).abs() < 0.10,
-            format!(
-                "share scheduler: configured {:.0}% vs measured {:.1}%",
-                c * 100.0,
-                m * 100.0
-            ),
-        ));
-    }
-    let flat = victim_share.last().copied().unwrap_or(0.0)
-        >= 0.8 * victim_share.first().copied().unwrap_or(0.0);
-    checks.push(Check::new(
-        "victim-flat",
-        flat,
-        format!(
-            "share-scheduled victim throughput {:.1} req/s at max hog load vs {:.1} at min",
-            victim_share.last().copied().unwrap_or(0.0),
-            victim_share.first().copied().unwrap_or(0.0)
-        ),
-    ));
+    let mut checks = Check::shares(
+        "share-split",
+        &share_at_8.configured,
+        &share_at_8.disk_fractions,
+        0.10,
+    );
+    let at = |v: Option<&f64>| v.copied().unwrap_or(0.0);
+    let (min_load, max_load) = (at(victim_share.first()), at(victim_share.last()));
+    checks.push(Check::at_least("victim-flat", max_load, 0.8 * min_load));
 
     Ok(Outcome {
         checks,
         check_ok: "share scheduler holds the 70/30 split and the victim stays flat",
-        report: Some((
-            "fig_disk".to_string(),
-            "disk-bandwidth isolation: 70/30 fixed-share tenants".to_string(),
-            lines,
-        )),
+        reports: vec![rep],
         ..Outcome::default()
     })
 }
@@ -304,18 +433,7 @@ fn run_smp(args: &ScenarioArgs) -> Result<Outcome, String> {
             .join("/"),
     )];
 
-    let mut checks = Vec::new();
-    for (c, m) in r.configured.iter().zip(&r.measured) {
-        checks.push(Check::new(
-            "share",
-            (c - m).abs() < 0.05,
-            format!(
-                "configured {:.0}% but measured {:.1}%",
-                c * 100.0,
-                m * 100.0
-            ),
-        ));
-    }
+    let mut checks = Check::shares("share", &r.configured, &r.measured, 0.05);
     checks.push(Check::new(
         "migrations",
         if ncpus > 1 {
@@ -323,11 +441,7 @@ fn run_smp(args: &ScenarioArgs) -> Result<Outcome, String> {
         } else {
             r.migrations == 0
         },
-        if ncpus > 1 {
-            "balancer never migrated a thread".to_string()
-        } else {
-            format!("uniprocessor run migrated {} threads", r.migrations)
-        },
+        format!("{} migrations on {ncpus} CPUs", r.migrations),
     ));
 
     Ok(Outcome {
@@ -370,37 +484,18 @@ fn run_qos(args: &ScenarioArgs) -> Result<Outcome, String> {
         fifo.throughputs[0],
     )];
 
-    let mut checks = vec![Check::new(
-        "saturation",
-        wfq.utilization >= 0.9,
-        format!("link only {:.0}% utilized", wfq.utilization * 100.0),
-    )];
-    for (c, m) in wfq.configured.iter().zip(&wfq.tx_fractions) {
-        checks.push(Check::new(
-            "share",
-            (c - m).abs() < 0.05,
-            format!(
-                "configured {:.0}% vs measured {:.1}% under wfq",
-                c * 100.0,
-                m * 100.0
-            ),
-        ));
-    }
-    checks.push(Check::new(
-        "ablation",
-        fifo.tx_fractions[0] < 0.45,
-        format!(
-            "fifo still gave the gold tenant {:.1}%",
-            fifo.tx_fractions[0] * 100.0
-        ),
+    let mut checks = vec![Check::at_least("saturation", wfq.utilization, 0.9)];
+    checks.extend(Check::shares(
+        "share",
+        &wfq.configured,
+        &wfq.tx_fractions,
+        0.05,
     ));
-    checks.push(Check::new(
+    checks.push(Check::below("ablation", fifo.tx_fractions[0], 0.45));
+    checks.push(Check::above(
         "protection",
-        wfq.throughputs[0] > 1.5 * fifo.throughputs[0],
-        format!(
-            "gold {:.0} req/s under wfq vs {:.0} under fifo",
-            wfq.throughputs[0], fifo.throughputs[0]
-        ),
+        wfq.throughputs[0],
+        1.5 * fifo.throughputs[0],
     ));
 
     Ok(Outcome {
@@ -445,31 +540,13 @@ fn run_fault(args: &ScenarioArgs) -> Result<Outcome, String> {
     )];
 
     let checks = vec![
-        Check::new(
-            "degradation",
-            r.throughput >= 0.9 * base.throughput,
-            format!(
-                "{:.0} req/s under faults vs {:.0} baseline",
-                r.throughput, base.throughput
-            ),
-        ),
-        Check::new(
-            "latency",
-            r.p99_ms <= 2.0 * base.p99_ms.max(0.5),
-            format!("p99 {:.2} ms vs baseline {:.2} ms", r.p99_ms, base.p99_ms),
-        ),
-        Check::new(
-            "charging",
-            r.attacker_drop_share >= 0.95,
-            format!(
-                "attacker absorbed only {:.1}% of drop charges",
-                r.attacker_drop_share * 100.0
-            ),
-        ),
+        Check::at_least("degradation", r.throughput, 0.9 * base.throughput),
+        Check::at_most("latency", r.p99_ms, 2.0 * base.p99_ms.max(0.5)),
+        Check::at_least("charging", r.attacker_drop_share, 0.95),
         Check::new(
             "injection",
             r.net_faults > 0 && r.client_faults > 0,
-            "a fault category never fired".to_string(),
+            "a fault category never fired",
         ),
     ];
 
@@ -509,39 +586,17 @@ fn run_mem(args: &ScenarioArgs) -> Result<Outcome, String> {
         r.mem.pressure_events,
     )];
 
+    let (solo, shared) = (&r.solo, &r.shared);
     let checks = vec![
-        Check::new(
-            "reclaim",
-            r.mem.reclaims > 0,
-            "hog never lost a cache page".to_string(),
-        ),
-        Check::new(
-            "oom",
-            r.mem.oom_kills > 0,
-            "hog never OOM-killed".to_string(),
-        ),
-        Check::new(
-            "baseline",
-            r.solo.cache_hit_rate > 0.9,
-            format!("solo hit rate only {:.1}%", r.solo.cache_hit_rate * 100.0),
-        ),
-        Check::new(
+        Check::new("reclaim", r.mem.reclaims > 0, "hog never lost a cache page"),
+        Check::new("oom", r.mem.oom_kills > 0, "hog never OOM-killed"),
+        Check::above("baseline", solo.cache_hit_rate, 0.9),
+        Check::at_least(
             "isolation-hits",
-            r.shared.cache_hit_rate >= 0.95 * r.solo.cache_hit_rate,
-            format!(
-                "hit rate fell {:.1}% -> {:.1}%",
-                r.solo.cache_hit_rate * 100.0,
-                r.shared.cache_hit_rate * 100.0
-            ),
+            shared.cache_hit_rate,
+            0.95 * solo.cache_hit_rate,
         ),
-        Check::new(
-            "isolation-p99",
-            r.shared.p99_ms <= 1.05 * r.solo.p99_ms.max(0.01),
-            format!(
-                "p99 grew {:.2} ms -> {:.2} ms",
-                r.solo.p99_ms, r.shared.p99_ms
-            ),
-        ),
+        Check::at_most("isolation-p99", shared.p99_ms, 1.05 * solo.p99_ms.max(0.01)),
     ];
 
     Ok(Outcome {
@@ -618,7 +673,7 @@ fn run_cluster(args: &ScenarioArgs) -> Result<Outcome, String> {
         Check::new(
             "placement",
             !r.placements.is_empty(),
-            "bronze starts capacity-confined; the orchestrator never placed".to_string(),
+            "bronze starts capacity-confined; the orchestrator never placed",
         ),
         Check::new(
             "routable",
@@ -627,15 +682,7 @@ fn run_cluster(args: &ScenarioArgs) -> Result<Outcome, String> {
         ),
     ];
     for (c, m) in r.configured.iter().zip(&r.measured) {
-        checks.push(Check::new(
-            "global-split",
-            (c - m).abs() <= 0.02,
-            format!(
-                "configured {:.0}% vs measured {:.1}% globally",
-                c * 100.0,
-                m * 100.0
-            ),
-        ));
+        checks.push(Check::at_most("global-split", (c - m).abs(), 0.02));
     }
 
     Ok(Outcome {
@@ -646,4 +693,37 @@ fn run_cluster(args: &ScenarioArgs) -> Result<Outcome, String> {
         cluster: Some(r),
         ..Outcome::default()
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn render_contains_title_and_lines() {
+        let mut r = Report::new("table1", "Table 1");
+        r.line("a | b");
+        r.blank();
+        r.line("c");
+        assert_eq!(r.render(), "Table 1\n=======\na | b\n\nc\n");
+    }
+
+    #[test]
+    fn vs_formats_ratio() {
+        let s = vs(300.0, 150.0, "us");
+        assert!(s.contains("ratio 2.00"), "{s}");
+        assert!(vs(1.0, 0.0, "x").contains("n/a"));
+    }
+
+    #[test]
+    fn checks_compare_strictly_or_inclusively() {
+        assert!(!Check::above("a", 1.0, 1.0).ok && Check::at_least("a", 1.0, 1.0).ok);
+        assert!(!Check::below("b", 1.0, 1.0).ok && Check::at_most("b", 1.0, 1.0).ok);
+        assert!(Check::near("c", 0.74, 0.70, 0.05).ok && !Check::near("c", 0.76, 0.70, 0.05).ok);
+        let shares = Check::shares("d", &[0.7, 0.3], &[0.72, 0.2], 0.05);
+        assert_eq!(
+            shares.iter().map(|c| c.ok).collect::<Vec<_>>(),
+            [true, false]
+        );
+    }
 }

@@ -16,6 +16,7 @@ use simnet::IpAddr;
 use simos::{Kernel, KernelConfig};
 
 use crate::clients::{ClientSpec, HttpClients};
+use crate::registry::Check;
 
 /// Parameters of a baseline-throughput run.
 #[derive(Clone, Debug)]
@@ -58,7 +59,7 @@ pub struct BaselineResult {
     /// Fraction of CPU busy during the run.
     pub busy_fraction: f64,
     /// Kernel events delivered over the whole run — the numerator of the
-    /// simulator's events-per-second self-benchmark (`rcbench --bin perf`).
+    /// simulator's events-per-second self-benchmark (`rcbench perf`).
     pub sim_events: u64,
 }
 
@@ -125,48 +126,37 @@ pub fn client_addr(i: usize) -> IpAddr {
     IpAddr::new(10, 0, (i / 250) as u8, (i % 250) as u8 + 1)
 }
 
+/// The paper's §5.3 numbers: throughput within 10% and per-request CPU
+/// within 12% of 2954 req/s and 338 us (connection per request, which
+/// also saturates the CPU) and of 9487 req/s and 105 us (persistent
+/// connections).
+pub fn checks(per_conn: &BaselineResult, persistent: &BaselineResult) -> Vec<Check> {
+    let (c, p) = (per_conn, persistent);
+    let off = |measured: f64, paper: f64| (measured - paper).abs() / paper;
+    vec![
+        Check::below("per-conn-rps", off(c.requests_per_sec, 2954.0), 0.10),
+        Check::below("per-conn-cpu", off(c.cpu_per_request_us, 338.0), 0.12),
+        Check::above("per-conn-busy", c.busy_fraction, 0.95),
+        Check::below("persistent-rps", off(p.requests_per_sec, 9487.0), 0.10),
+        Check::below("persistent-cpu", off(p.cpu_per_request_us, 105.0), 0.12),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::assert_checks;
 
     #[test]
-    fn per_request_throughput_matches_paper_within_ten_percent() {
-        let r = run_baseline(BaselineParams {
-            secs: 4,
-            ..BaselineParams::default()
-        });
-        // Paper: 2954 req/s, 338 us per request.
-        assert!(
-            (r.requests_per_sec - 2954.0).abs() / 2954.0 < 0.10,
-            "throughput = {}",
-            r.requests_per_sec
-        );
-        assert!(
-            (r.cpu_per_request_us - 338.0).abs() / 338.0 < 0.12,
-            "cpu/request = {}",
-            r.cpu_per_request_us
-        );
-        assert!(r.busy_fraction > 0.95, "busy = {}", r.busy_fraction);
-    }
-
-    #[test]
-    fn persistent_throughput_matches_paper_within_ten_percent() {
-        let r = run_baseline(BaselineParams {
-            persistent: true,
-            secs: 4,
-            ..BaselineParams::default()
-        });
-        // Paper: 9487 req/s, 105 us per request.
-        assert!(
-            (r.requests_per_sec - 9487.0).abs() / 9487.0 < 0.10,
-            "throughput = {}",
-            r.requests_per_sec
-        );
-        assert!(
-            (r.cpu_per_request_us - 105.0).abs() / 105.0 < 0.12,
-            "cpu/request = {}",
-            r.cpu_per_request_us
-        );
+    fn throughput_matches_paper_within_ten_percent() {
+        let run = |persistent| {
+            run_baseline(BaselineParams {
+                persistent,
+                secs: 4,
+                ..BaselineParams::default()
+            })
+        };
+        assert_checks(&checks(&run(false), &run(true)));
     }
 
     #[test]

@@ -23,6 +23,7 @@ use simnet::{CidrFilter, IpAddr};
 use simos::{Kernel, KernelConfig};
 
 use crate::clients::{ClientSpec, HttpClients};
+use crate::registry::Check;
 
 /// Address of the single high-priority client.
 pub const HIGH_ADDR: IpAddr = IpAddr::new(10, 9, 9, 9);
@@ -39,6 +40,13 @@ pub enum Fig11System {
 }
 
 impl Fig11System {
+    /// The paper's three curves, in plotting order.
+    pub const ALL: [Fig11System; 3] = [
+        Fig11System::Unmodified,
+        Fig11System::RcSelect,
+        Fig11System::RcEventApi,
+    ];
+
     /// Short label for reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -157,44 +165,35 @@ pub fn low_addr(i: usize) -> IpAddr {
     IpAddr::new(10, 0, (i / 250) as u8, (i % 250) as u8 + 1)
 }
 
+/// The paper's Figure 11 shape at one load point, over one result per
+/// system in [`Fig11System::ALL`] order: containers isolate the
+/// high-priority client from the unmodified kernel's livelock, the
+/// event API is no slower than `select()`, and low-priority clients keep
+/// the server saturated.
+pub fn checks([unmod, select, event]: &[Fig11Result; 3]) -> Vec<Check> {
+    vec![
+        Check::above("isolation", unmod.t_high_ms, 2.0 * select.t_high_ms),
+        Check::at_most("event-api", event.t_high_ms, select.t_high_ms * 1.2),
+        Check::above("unmodified-saturated", unmod.low_throughput, 1000.0),
+        Check::above("event-api-saturated", event.low_throughput, 1000.0),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::assert_checks;
 
     #[test]
     fn high_priority_isolated_by_containers() {
-        let n = 20;
-        let unmod = run_fig11(Fig11Params {
-            system: Fig11System::Unmodified,
-            low_clients: n,
-            secs: 3,
+        let row = Fig11System::ALL.map(|system| {
+            run_fig11(Fig11Params {
+                system,
+                low_clients: 20,
+                secs: 3,
+            })
         });
-        let rc_sel = run_fig11(Fig11Params {
-            system: Fig11System::RcSelect,
-            low_clients: n,
-            secs: 3,
-        });
-        let rc_ev = run_fig11(Fig11Params {
-            system: Fig11System::RcEventApi,
-            low_clients: n,
-            secs: 3,
-        });
-        // Qualitative ordering of the paper's three curves.
-        assert!(
-            unmod.t_high_ms > 2.0 * rc_sel.t_high_ms,
-            "unmod {} vs rc+select {}",
-            unmod.t_high_ms,
-            rc_sel.t_high_ms
-        );
-        assert!(
-            rc_ev.t_high_ms <= rc_sel.t_high_ms * 1.2,
-            "rc+event {} vs rc+select {}",
-            rc_ev.t_high_ms,
-            rc_sel.t_high_ms
-        );
-        // The server stays saturated by low-priority clients in all cases.
-        assert!(unmod.low_throughput > 1000.0);
-        assert!(rc_ev.low_throughput > 1000.0);
+        assert_checks(&checks(&row));
     }
 
     #[test]

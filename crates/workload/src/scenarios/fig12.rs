@@ -24,6 +24,7 @@ use simnet::IpAddr;
 use simos::{Kernel, KernelConfig};
 
 use crate::clients::{ClientSpec, HttpClients};
+use crate::registry::Check;
 
 /// The systems compared in Figures 12/13.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -41,6 +42,14 @@ pub enum Fig12System {
 }
 
 impl Fig12System {
+    /// The paper's four curves, in plotting order.
+    pub const ALL: [Fig12System; 4] = [
+        Fig12System::Unmodified,
+        Fig12System::Lrp,
+        Fig12System::Rc { limit: 0.30 },
+        Fig12System::Rc { limit: 0.10 },
+    ];
+
     /// Label used in reports.
     pub fn label(self) -> String {
         match self {
@@ -199,15 +208,34 @@ pub fn cgi_addr(i: usize) -> IpAddr {
     IpAddr::new(10, 50, 0, i as u8 + 1)
 }
 
+/// The paper's Figures 12/13 shape at one CGI load, over one result per
+/// system in [`Fig12System::ALL`] order. Figure 12: static throughput
+/// orders LRP < unmodified < RC 30% < RC 10%. Figure 13: LRP gives CGI
+/// n/(n+1) of the CPU (0.75 at n = 3), unmodified slightly less (the
+/// server is over-served), and the RC limits clamp at 30% / 10%.
+pub fn checks([unmod, lrp, rc30, rc10]: &[Fig12Result; 4]) -> Vec<Check> {
+    let rps = |r: &Fig12Result| r.static_throughput;
+    vec![
+        Check::above("unmodified-over-lrp", rps(unmod), rps(lrp)),
+        Check::above("rc30-over-unmodified", rps(rc30), rps(unmod)),
+        Check::above("rc10-over-rc30", rps(rc10), rps(rc30)),
+        Check::near("lrp-share", lrp.cgi_cpu_share, 0.75, 0.12),
+        Check::below("unmodified-share", unmod.cgi_cpu_share, lrp.cgi_cpu_share),
+        Check::near("rc30-share", rc30.cgi_cpu_share, 0.30, 0.06),
+        Check::near("rc10-share", rc10.cgi_cpu_share, 0.10, 0.05),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::assert_checks;
 
     /// Scaled-down run (0.2 s CGI bursts, short window) asserting the
     /// qualitative shape of Figures 12 and 13 at n = 3.
     #[test]
     fn shape_matches_paper_at_three_cgi_clients() {
-        let run = |system| {
+        let row = Fig12System::ALL.map(|system| {
             run_fig12(Fig12Params {
                 system,
                 cgi_clients: 3,
@@ -215,55 +243,8 @@ mod tests {
                 cgi_cpu: Nanos::from_millis(200),
                 secs: 8,
             })
-        };
-        let unmod = run(Fig12System::Unmodified);
-        let lrp = run(Fig12System::Lrp);
-        let rc30 = run(Fig12System::Rc { limit: 0.30 });
-        let rc10 = run(Fig12System::Rc { limit: 0.10 });
-
-        // Figure 12: static throughput ordering.
-        assert!(
-            unmod.static_throughput > lrp.static_throughput,
-            "unmod {} vs lrp {}",
-            unmod.static_throughput,
-            lrp.static_throughput
-        );
-        assert!(
-            rc30.static_throughput > unmod.static_throughput,
-            "rc30 {} vs unmod {}",
-            rc30.static_throughput,
-            unmod.static_throughput
-        );
-        assert!(
-            rc10.static_throughput > rc30.static_throughput,
-            "rc10 {} vs rc30 {}",
-            rc10.static_throughput,
-            rc30.static_throughput
-        );
-
-        // Figure 13: CGI CPU shares. LRP gives CGI n/(n+1) = 0.75;
-        // unmodified slightly less (server over-served); RC clamps.
-        assert!(
-            (lrp.cgi_cpu_share - 0.75).abs() < 0.12,
-            "lrp share {}",
-            lrp.cgi_cpu_share
-        );
-        assert!(
-            unmod.cgi_cpu_share < lrp.cgi_cpu_share,
-            "unmod {} vs lrp {}",
-            unmod.cgi_cpu_share,
-            lrp.cgi_cpu_share
-        );
-        assert!(
-            (rc30.cgi_cpu_share - 0.30).abs() < 0.06,
-            "rc30 share {}",
-            rc30.cgi_cpu_share
-        );
-        assert!(
-            (rc10.cgi_cpu_share - 0.10).abs() < 0.05,
-            "rc10 share {}",
-            rc10.cgi_cpu_share
-        );
+        });
+        assert_checks(&checks(&row));
     }
 
     #[test]

@@ -16,6 +16,7 @@ use simnet::{CidrFilter, IpAddr, Packet};
 use simos::{Kernel, KernelConfig, World, WorldAction};
 
 use crate::clients::{ClientSpec, HttpClients};
+use crate::registry::Check;
 use crate::synflood::SynFlood;
 
 /// Base address of the attacker block (192.168/16).
@@ -195,9 +196,31 @@ pub fn good_addr(i: usize) -> IpAddr {
     IpAddr::new(10, 0, (i / 250) as u8, (i % 250) as u8 + 1)
 }
 
+/// The paper's Figure 14 shape at one flood rate past ~10k SYN/s: the
+/// unmodified server is effectively dead while the defended one holds
+/// most of its capacity, having isolated the attacker and absorbed the
+/// whole flood.
+pub fn checks(plain: &Fig14Result, defended: &Fig14Result) -> Vec<Check> {
+    vec![
+        Check::below("unmodified-collapses", plain.throughput, 300.0),
+        Check::above("defended-survives", defended.throughput, 2000.0),
+        Check::new(
+            "isolation",
+            defended.isolations >= 1,
+            "the defense never isolated the attacker",
+        ),
+        Check::new(
+            "flood",
+            defended.syns_sent > 50_000,
+            format!("{} SYNs sent, needs > 50000", defended.syns_sent),
+        ),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::assert_checks;
 
     #[test]
     fn no_flood_baselines_agree() {
@@ -222,31 +245,14 @@ mod tests {
     #[test]
     fn unmodified_collapses_but_defended_survives() {
         let rate = 12_000.0;
-        let plain = run_fig14(Fig14Params {
-            defended: false,
-            syn_rate: rate,
-            clients: 16,
-            secs: 8,
-        });
-        let defended = run_fig14(Fig14Params {
-            defended: true,
-            syn_rate: rate,
-            clients: 16,
-            secs: 8,
-        });
-        // The unmodified system is effectively dead at ~10k SYN/s...
-        assert!(
-            plain.throughput < 300.0,
-            "unmodified throughput {} at {rate} SYN/s",
-            plain.throughput
-        );
-        // ...while the defended system holds most of its capacity.
-        assert!(
-            defended.throughput > 2000.0,
-            "defended throughput {}",
-            defended.throughput
-        );
-        assert!(defended.isolations >= 1);
-        assert!(defended.syns_sent > 50_000);
+        let run = |defended| {
+            run_fig14(Fig14Params {
+                defended,
+                syn_rate: rate,
+                clients: 16,
+                secs: 8,
+            })
+        };
+        assert_checks(&checks(&run(false), &run(true)));
     }
 }

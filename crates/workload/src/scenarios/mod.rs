@@ -2,9 +2,10 @@
 //!
 //! Every driver builds a kernel + server + client world, runs it for a
 //! warmup period and a measurement window, and returns a structured
-//! result. The `rcbench` binaries print these as the paper's tables and
-//! figures; the workspace integration tests assert the qualitative shapes
-//! at reduced scale.
+//! result. The paper-figure modules also own their shape predicates
+//! (`checks`), which the registry's `--check` runs at the paper's scale
+//! and the unit tests run at reduced scale; the `rcbench` CLI prints the
+//! results as the paper's tables and figures.
 
 pub mod baseline;
 pub mod cluster_tenants;

@@ -12,7 +12,7 @@
 //! monitor: the paid tenant's objective is generous and met; the free
 //! tenant's is deliberately far below what a saturated disk can deliver,
 //! so the run *deterministically* flags SLO violations — the injected
-//! signal the span smoke tests and the `rcbench --bin span` blame report
+//! signal the span smoke tests and the `rcbench span` blame report
 //! assert on.
 
 use httpsim::stats::shared_stats;

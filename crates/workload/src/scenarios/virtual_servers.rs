@@ -16,6 +16,7 @@ use simnet::{IpAddr, Packet};
 use simos::{Kernel, KernelConfig, World, WorldAction};
 
 use crate::clients::{ClientSpec, HttpClients};
+use crate::registry::Check;
 
 /// Parameters of the virtual-server experiment.
 #[derive(Clone, Debug)]
@@ -201,9 +202,23 @@ pub fn run_virtual_servers(params: VsParams) -> VsResult {
     }
 }
 
+/// The paper's §5.8 claim on a static-only load: each guest's measured
+/// CPU matches its configured share within 4 points, and static
+/// throughput orders with the shares (guests listed by descending share).
+pub fn checks(r: &VsResult) -> Vec<Check> {
+    let mut checks = Check::shares("guest-share", &r.configured, &r.measured, 0.04);
+    checks.push(Check::new(
+        "throughput-order",
+        r.throughputs.windows(2).all(|w| w[0] > w[1]),
+        format!("static throughputs {:?}", r.throughputs),
+    ));
+    checks
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::assert_checks;
 
     #[test]
     fn guest_cpu_matches_allocation() {
@@ -213,16 +228,7 @@ mod tests {
             cgi_cpu: None,
             secs: 8,
         });
-        for (c, m) in r.configured.iter().zip(&r.measured) {
-            assert!(
-                (c - m).abs() < 0.04,
-                "configured {c} vs measured {m} ({:?})",
-                r.measured
-            );
-        }
-        // Throughputs scale with shares.
-        assert!(r.throughputs[0] > r.throughputs[1]);
-        assert!(r.throughputs[1] > r.throughputs[2]);
+        assert_checks(&checks(&r));
     }
 
     #[test]
