@@ -145,6 +145,9 @@ pub struct ContainerTable {
     /// Link wire-time history of destroyed parentless containers (same
     /// conservation role as `reaped_cpu`).
     reaped_tx: Nanos,
+    /// Live containers whose attributes carry a CPU limit, so schedulers
+    /// can skip their per-decision limit scan when there are none.
+    cpu_limited: usize,
 }
 
 impl Default for ContainerTable {
@@ -188,6 +191,7 @@ impl ContainerTable {
             reaped_cpu: Nanos::ZERO,
             reaped_disk: Nanos::ZERO,
             reaped_tx: Nanos::ZERO,
+            cpu_limited: 0,
         }
     }
 
@@ -239,6 +243,11 @@ impl ContainerTable {
         self.reaped_tx
     }
 
+    /// Returns the number of live containers with a CPU limit.
+    pub fn cpu_limited_count(&self) -> usize {
+        self.cpu_limited
+    }
+
     /// Returns `true` if `id` names a live container.
     pub fn contains(&self, id: ContainerId) -> bool {
         self.arena.contains(id)
@@ -281,6 +290,7 @@ impl ContainerTable {
         if let Some(share) = attrs.policy.share() {
             self.check_share_capacity(parent, share, None)?;
         }
+        self.cpu_limited += usize::from(attrs.cpu_limit.is_some());
         let id = self.arena.insert(Container {
             parent: Some(parent),
             children: Vec::new(),
@@ -493,6 +503,9 @@ impl ContainerTable {
                 self.check_share_capacity(parent, share, Some(id))?;
             }
         }
+        let was_limited = c.attrs.cpu_limit.is_some();
+        self.cpu_limited =
+            self.cpu_limited - usize::from(was_limited) + usize::from(attrs.cpu_limit.is_some());
         self.get_mut(id)?.attrs = attrs;
         Ok(())
     }
@@ -909,7 +922,9 @@ impl ContainerTable {
             }
             None => self.floating.retain(|&c| c != id),
         }
-        self.arena.remove(id);
+        if let Some(c) = self.arena.remove(id) {
+            self.cpu_limited -= usize::from(c.attrs.cpu_limit.is_some());
+        }
         self.destroyed_count += 1;
         trace::emit(|| TraceEventKind::ContainerDestroy {
             container: id.as_u64(),
@@ -984,6 +999,12 @@ impl ContainerTable {
                 "floating container {f:?} has a parent"
             );
         }
+        let limited = self
+            .arena
+            .iter()
+            .filter(|(_, c)| c.attrs.cpu_limit.is_some())
+            .count();
+        assert_eq!(limited, self.cpu_limited, "cpu-limited count drifted");
     }
 }
 
@@ -1106,6 +1127,22 @@ mod tests {
         assert_eq!(t.subtree_cpu(b).unwrap(), Nanos::from_micros(50));
         assert_eq!(t.subtree_cpu(a).unwrap(), Nanos::from_micros(50));
         assert_eq!(t.subtree_cpu(t.root()).unwrap(), Nanos::from_micros(50));
+    }
+
+    #[test]
+    fn cpu_limited_count_follows_create_set_attrs_and_destroy() {
+        let mut t = table();
+        let limited = Attributes::fixed_share(0.2).with_cpu_limit(0.1, Nanos::from_millis(10));
+        let a = t.create(None, limited.clone()).unwrap();
+        let b = t.create(None, Attributes::fixed_share(0.2)).unwrap();
+        assert_eq!(t.cpu_limited_count(), 1);
+        t.set_attrs(b, limited).unwrap();
+        assert_eq!(t.cpu_limited_count(), 2);
+        t.set_attrs(a, Attributes::fixed_share(0.2)).unwrap();
+        assert_eq!(t.cpu_limited_count(), 1);
+        assert!(t.drop_descriptor_ref(b).unwrap());
+        assert_eq!(t.cpu_limited_count(), 0);
+        t.check_invariants();
     }
 
     #[test]

@@ -103,6 +103,16 @@ pub trait CoreScheduler {
     /// Unregisters a task (thread exit).
     fn remove_task(&mut self, task: TaskId);
 
+    /// Reports that some task's binding, on this CPU or another, names
+    /// `c` where none did before. [`PerCpu`](crate::PerCpu) reports every
+    /// such transition to every core, so a policy that drops a destroyed
+    /// container's state once no binding names it can tell that a task
+    /// elsewhere, which may migrate here, still does.
+    fn hold_container(&mut self, _c: ContainerId) {}
+
+    /// Reports that no task's binding on any CPU names `c` any more.
+    fn release_container(&mut self, _c: ContainerId) {}
+
     /// Replaces the task's scheduler binding (paper §4.3: the set of
     /// containers a multiplexed thread currently serves).
     fn set_binding(&mut self, task: TaskId, binding: &[ContainerId], now: Nanos);

@@ -25,9 +25,11 @@
 //! and the CPU it consumes is charged to whichever container its *resource
 //! binding* names at the time.
 
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::collections::hash_map::Entry;
 
 use rescon::{ContainerId, ContainerTable, SchedPolicy};
+use simcore::slab::{IdHashMap, IdSlab};
 use simcore::trace::{self, TraceEventKind};
 use simcore::Nanos;
 
@@ -35,10 +37,44 @@ use crate::api::{CoreScheduler, Pick, TaskId};
 use crate::bucket::TokenBucket;
 use crate::usage_decay::UsageDecay;
 
+type IdMap<V> = IdHashMap<ContainerId, V>;
+
 #[derive(Debug)]
 struct MlTask {
     binding: Vec<ContainerId>,
     runnable: bool,
+    /// `task_priority` as computed during pick number `.0`.
+    prio: Cell<(u64, Option<u32>)>,
+}
+
+/// Everything the scheduler keeps about one container, behind one lookup.
+#[derive(Default)]
+struct Node {
+    /// Tasks eligible at this container (via their scheduler binding).
+    tasks: Vec<TaskId>,
+    /// A binding on some CPU names this container (reported by
+    /// [`CoreScheduler::hold_container`]).
+    held: bool,
+    /// Stride pass of a fixed-share container, in virtual seconds.
+    pass: Option<f64>,
+    /// Stride pass of the time-share pool at this node.
+    pool_pass: Option<f64>,
+    /// The node's virtual time: the pass of the child it last selected.
+    vtime: f64,
+    /// Token bucket of a container with a CPU limit.
+    bucket: Option<TokenBucket>,
+    /// Decayed CPU usage.
+    usage: Option<UsageDecay>,
+    /// `usage` as peeked during pick number `.0`.
+    peeked: Cell<(u64, f64)>,
+    /// Queued in `candidates`.
+    candidate: bool,
+}
+
+impl Node {
+    fn named(&self) -> bool {
+        !self.tasks.is_empty() || self.held
+    }
 }
 
 /// The container-aware multi-level scheduler (paper §5.1).
@@ -64,19 +100,25 @@ struct MlTask {
 /// assert_eq!(s.pick(&table, Nanos::ZERO).unwrap().task, TaskId(2));
 /// ```
 pub struct MultiLevelScheduler {
-    tasks: HashMap<TaskId, MlTask>,
-    /// Tasks eligible at each container (via their scheduler binding).
-    container_tasks: HashMap<ContainerId, Vec<TaskId>>,
-    /// Stride pass per fixed-share container, in virtual seconds.
-    passes: HashMap<ContainerId, f64>,
-    /// Stride pass of the time-share pool at each node.
-    pool_passes: HashMap<ContainerId, f64>,
-    /// Per-node virtual time: the largest pass charged below the node.
-    vtimes: HashMap<ContainerId, f64>,
-    /// Token buckets for containers with CPU limits.
-    buckets: HashMap<ContainerId, TokenBucket>,
-    /// Decayed CPU usage per container.
-    cusage: HashMap<ContainerId, UsageDecay>,
+    tasks: IdSlab<TaskId, MlTask>,
+    /// Number of runnable tasks.
+    runnable: usize,
+    /// Per-container state: eligible tasks, stride passes, virtual time,
+    /// CPU-limit bucket, decayed usage.
+    nodes: IdMap<Node>,
+    /// Nodes that no binding named when queued; the sweep drops those
+    /// whose container has been destroyed.
+    candidates: Vec<ContainerId>,
+    /// A node became unnamed since the last sweep.
+    sweep_due: bool,
+    /// `ContainerTable::destroyed_count` at the last sweep.
+    seen_destroyed: u64,
+    /// Containers whose CPU-limit bucket is exhausted, for this pick.
+    throttled: Vec<ContainerId>,
+    /// Spare time-share pool buffers, one taken per `pick_node` level.
+    spare_pools: Vec<Vec<(TaskId, u32)>>,
+    /// Counts picks; keys the per-pick memos.
+    epoch: u64,
     quantum: Nanos,
     half_life: Nanos,
 }
@@ -97,23 +139,62 @@ impl MultiLevelScheduler {
     /// Creates a scheduler with explicit quantum and usage half-life.
     pub fn with_params(quantum: Nanos, half_life: Nanos) -> Self {
         MultiLevelScheduler {
-            tasks: HashMap::new(),
-            container_tasks: HashMap::new(),
-            passes: HashMap::new(),
-            pool_passes: HashMap::new(),
-            vtimes: HashMap::new(),
-            buckets: HashMap::new(),
-            cusage: HashMap::new(),
+            tasks: IdSlab::new(),
+            runnable: 0,
+            nodes: IdMap::default(),
+            candidates: Vec::new(),
+            sweep_due: false,
+            seen_destroyed: 0,
+            throttled: Vec::new(),
+            spare_pools: Vec::new(),
+            epoch: 0,
             quantum,
             half_life,
         }
     }
 
+    /// Returns `c`'s node, creating it (and queueing it for the sweep,
+    /// since no binding names it yet) if absent.
+    fn node_mut<'a>(
+        nodes: &'a mut IdMap<Node>,
+        candidates: &mut Vec<ContainerId>,
+        c: ContainerId,
+    ) -> &'a mut Node {
+        match nodes.entry(c) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                candidates.push(c);
+                e.insert(Node {
+                    candidate: true,
+                    ..Node::default()
+                })
+            }
+        }
+    }
+
+    /// Queues `node` for the sweep if no binding names it any more;
+    /// returns whether it is unnamed.
+    fn queue_if_unnamed(
+        candidates: &mut Vec<ContainerId>,
+        node: &mut Node,
+        c: ContainerId,
+    ) -> bool {
+        if node.named() {
+            return false;
+        }
+        if !node.candidate {
+            node.candidate = true;
+            candidates.push(c);
+        }
+        true
+    }
+
     fn detach_binding(&mut self, task: TaskId) {
-        if let Some(t) = self.tasks.get(&task) {
-            for c in t.binding.clone() {
-                if let Some(v) = self.container_tasks.get_mut(&c) {
-                    v.retain(|&x| x != task);
+        if let Some(t) = self.tasks.get(task) {
+            for c in &t.binding {
+                if let Some(n) = self.nodes.get_mut(c) {
+                    n.tasks.retain(|&x| x != task);
+                    self.sweep_due |= Self::queue_if_unnamed(&mut self.candidates, n, *c);
                 }
             }
         }
@@ -121,46 +202,67 @@ impl MultiLevelScheduler {
 
     fn attach_binding(&mut self, task: TaskId, binding: &[ContainerId]) {
         for &c in binding {
-            let v = self.container_tasks.entry(c).or_default();
+            let v = &mut self.nodes.entry(c).or_default().tasks;
             if !v.contains(&task) {
                 v.push(task);
             }
         }
-        if let Some(t) = self.tasks.get_mut(&task) {
-            t.binding = binding.to_vec();
+        if let Some(t) = self.tasks.get_mut(task) {
+            t.binding.clear();
+            t.binding.extend_from_slice(binding);
         }
     }
 
-    /// Returns the children of `node` for scheduling purposes; at the root
-    /// this includes floating orphans.
-    fn node_children(table: &ContainerTable, node: ContainerId) -> Vec<ContainerId> {
-        let mut v: Vec<ContainerId> = table.children(node).map(|c| c.to_vec()).unwrap_or_default();
-        if node == table.root() {
-            v.extend_from_slice(table.floating());
+    /// Drops the state of destroyed containers that no binding names.
+    /// Runs only when a container was destroyed or a node lost its last
+    /// name since the previous sweep. A dead container is never
+    /// traversed, charged or bucket-scanned again, and no binding can
+    /// gain it back, so its state is unobservable once unnamed.
+    fn sweep(&mut self, table: &ContainerTable) {
+        let destroyed = table.destroyed_count();
+        if !self.sweep_due && destroyed == self.seen_destroyed {
+            return;
         }
-        v
+        self.sweep_due = false;
+        self.seen_destroyed = destroyed;
+        let nodes = &mut self.nodes;
+        self.candidates.retain(|c| {
+            let Some(n) = nodes.get_mut(c) else {
+                return false;
+            };
+            if n.named() {
+                n.candidate = false;
+                return false;
+            }
+            if table.contains(*c) {
+                return true;
+            }
+            nodes.remove(c);
+            false
+        });
     }
 
-    /// Refreshes every configured CPU-limit bucket and returns the
-    /// containers whose bucket is exhausted. Computed once per pick so the
-    /// rest of the decision can run without mutable borrows; in the common
-    /// case (no limits configured, or none exhausted) the result is empty
-    /// and all throttle checks short-circuit.
-    fn compute_throttled(&mut self, table: &ContainerTable, now: Nanos) -> Vec<ContainerId> {
-        let mut out = Vec::new();
+    /// Refreshes every configured CPU-limit bucket and collects the
+    /// containers whose bucket is exhausted into `throttled`. Computed
+    /// once per pick so the rest of the decision can run without mutable
+    /// borrows; in the common case (no limits configured, or none
+    /// exhausted) the set is empty and all throttle checks short-circuit.
+    fn compute_throttled(&mut self, table: &ContainerTable, now: Nanos) {
+        self.throttled.clear();
+        if table.cpu_limited_count() == 0 {
+            return;
+        }
         for (id, c) in table.iter() {
             if let Some(limit) = c.attrs().cpu_limit {
-                let eligible = self
-                    .buckets
-                    .entry(id)
-                    .or_insert_with(|| TokenBucket::new(limit.fraction, limit.window))
+                let eligible = Self::node_mut(&mut self.nodes, &mut self.candidates, id)
+                    .bucket
+                    .get_or_insert_with(|| TokenBucket::new(limit.fraction, limit.window))
                     .eligible(now);
                 if !eligible {
-                    out.push(id);
+                    self.throttled.push(id);
                 }
             }
         }
-        out
     }
 
     /// Returns `true` if `c` or any ancestor has an exhausted CPU-limit
@@ -179,15 +281,29 @@ impl MultiLevelScheduler {
         false
     }
 
+    fn is_task_runnable(&self, task: TaskId) -> bool {
+        self.tasks.get(task).is_some_and(|t| t.runnable)
+    }
+
     /// The numeric priority a task presents within a pool: the maximum
-    /// priority among its bound, live, unthrottled containers.
-    fn task_priority(
-        &self,
+    /// priority among its bound, live, unthrottled containers. Computed
+    /// once per task per pick.
+    fn task_priority(&self, table: &ContainerTable, task: TaskId) -> Option<u32> {
+        let t = self.tasks.get(task)?;
+        let (epoch, memo) = t.prio.get();
+        if epoch == self.epoch {
+            return memo;
+        }
+        let prio = Self::binding_priority(table, &self.throttled, &t.binding);
+        t.prio.set((self.epoch, prio));
+        prio
+    }
+
+    fn binding_priority(
         table: &ContainerTable,
         throttled: &[ContainerId],
-        task: TaskId,
+        binding: &[ContainerId],
     ) -> Option<u32> {
-        let binding = &self.tasks.get(&task)?.binding;
         let mut best: Option<u32> = None;
         for &c in binding {
             if !table.contains(c) || Self::is_throttled(table, throttled, c) {
@@ -202,34 +318,55 @@ impl MultiLevelScheduler {
         best
     }
 
+    /// Decayed usage of `c` at `now`, peeked once per container per pick.
+    fn peek_usage(&self, c: ContainerId, now: Nanos) -> f64 {
+        let Some(n) = self.nodes.get(&c) else {
+            return 0.0;
+        };
+        let (epoch, memo) = n.peeked.get();
+        if epoch == self.epoch {
+            return memo;
+        }
+        let v = n.usage.as_ref().map(|u| u.peek(now)).unwrap_or(0.0);
+        n.peeked.set((self.epoch, v));
+        v
+    }
+
     /// Combined decayed usage of the task's scheduler binding (§4.3).
     fn task_combined_usage(&self, task: TaskId, now: Nanos) -> f64 {
-        let binding = match self.tasks.get(&task) {
+        let binding = match self.tasks.get(task) {
             Some(t) => &t.binding,
             None => return 0.0,
         };
-        binding
-            .iter()
-            .map(|c| self.cusage.get(c).map(|u| u.peek(now)).unwrap_or(0.0))
-            .sum()
+        binding.iter().map(|&c| self.peek_usage(c, now)).sum()
+    }
+
+    /// Appends the runnable tasks bound to `c` that `pool` lacks.
+    fn push_runnable(&self, c: ContainerId, pool: &mut Vec<(TaskId, u32)>) {
+        if let Some(n) = self.nodes.get(&c) {
+            for &t in &n.tasks {
+                if self.is_task_runnable(t) && !pool.iter().any(|&(x, _)| x == t) {
+                    pool.push((t, 0));
+                }
+            }
+        }
     }
 
     /// Gathers the runnable tasks whose binding touches `c` or (for
     /// time-shared subtrees in the general model) any descendant.
-    fn gather_pool_tasks(&self, table: &ContainerTable, c: ContainerId, out: &mut Vec<TaskId>) {
-        if let Some(list) = self.container_tasks.get(&c) {
-            for &t in list {
-                if self.tasks.get(&t).map(|x| x.runnable).unwrap_or(false) && !out.contains(&t) {
-                    out.push(t);
-                }
-            }
-        }
+    fn gather_pool_tasks(
+        &self,
+        table: &ContainerTable,
+        c: ContainerId,
+        pool: &mut Vec<(TaskId, u32)>,
+    ) {
+        self.push_runnable(c, pool);
         // General-model (non-strict) time-shared subtrees fold into the
         // nearest fixed-share pool.
         if let Ok(children) = table.children(c) {
-            for &ch in children.to_vec().iter() {
+            for &ch in children {
                 if matches!(table.policy(ch), Ok(SchedPolicy::TimeShared { .. })) {
-                    self.gather_pool_tasks(table, ch, out);
+                    self.gather_pool_tasks(table, ch, pool);
                 }
             }
         }
@@ -240,29 +377,28 @@ impl MultiLevelScheduler {
     fn subtree_has_work(
         &self,
         table: &ContainerTable,
-        throttled: &[ContainerId],
         c: ContainerId,
         allow_starvable: bool,
     ) -> bool {
-        if throttled.contains(&c) {
+        if self.throttled.contains(&c) {
             return false;
         }
-        if let Some(list) = self.container_tasks.get(&c) {
-            for &t in list {
-                if !self.tasks.get(&t).map(|x| x.runnable).unwrap_or(false) {
+        if let Some(n) = self.nodes.get(&c) {
+            for &t in &n.tasks {
+                if !self.is_task_runnable(t) {
                     continue;
                 }
                 if allow_starvable {
                     return true;
                 }
-                if self.task_priority(table, throttled, t).unwrap_or(0) >= 1 {
+                if self.task_priority(table, t).unwrap_or(0) >= 1 {
                     return true;
                 }
             }
         }
         if let Ok(children) = table.children(c) {
             for &ch in children {
-                if self.subtree_has_work(table, throttled, ch, allow_starvable) {
+                if self.subtree_has_work(table, ch, allow_starvable) {
                     return true;
                 }
             }
@@ -270,25 +406,13 @@ impl MultiLevelScheduler {
         false
     }
 
-    /// Picks within the time-share pool `candidates`: strict priority
-    /// levels, then minimum combined decayed usage, then lowest id.
-    fn pick_from_pool(
-        &self,
-        table: &ContainerTable,
-        throttled: &[ContainerId],
-        candidates: &[TaskId],
-        now: Nanos,
-        allow_starvable: bool,
-    ) -> Option<TaskId> {
+    /// Picks within the time-share pool `candidates` (tasks with their
+    /// priorities, already filtered by the starvation rule): strict
+    /// priority levels, then minimum combined decayed usage, then lowest
+    /// id.
+    fn pick_from_pool(&self, candidates: &[(TaskId, u32)], now: Nanos) -> Option<TaskId> {
         let mut best: Option<(u32, f64, TaskId)> = None;
-        for &t in candidates {
-            let prio = match self.task_priority(table, throttled, t) {
-                Some(p) => p,
-                None => continue,
-            };
-            if prio == 0 && !allow_starvable {
-                continue;
-            }
+        for &(t, prio) in candidates {
             let usage = self.task_combined_usage(t, now);
             let better = match best {
                 None => true,
@@ -307,30 +431,54 @@ impl MultiLevelScheduler {
     fn pick_node(
         &mut self,
         table: &ContainerTable,
-        throttled: &[ContainerId],
         node: ContainerId,
         now: Nanos,
         allow_starvable: bool,
     ) -> Option<TaskId> {
-        let children = Self::node_children(table, node);
-        let mut fs_with_work: Vec<(ContainerId, f64)> = Vec::new();
-        let mut fs_share_total = 0.0;
-        let mut pool: Vec<TaskId> = Vec::new();
-
-        // Tasks bound directly to this node join its pool.
-        if let Some(list) = self.container_tasks.get(&node) {
-            for &t in list {
-                if self.tasks.get(&t).map(|x| x.runnable).unwrap_or(false) && !pool.contains(&t) {
-                    pool.push(t);
-                }
+        #[derive(Clone, Copy, PartialEq)]
+        enum Choice {
+            Fs(ContainerId),
+            Pool,
+        }
+        // Decide between fixed-share children and the time-share pool
+        // using stride: lowest (clamped) pass runs, fixed-share children
+        // winning ties. Children waking from idle join at the node's
+        // virtual time instead of cashing in credit.
+        fn better(best: Option<(f64, u8, Choice)>, key: (f64, u8)) -> bool {
+            match best {
+                None => true,
+                Some((bp, bo, _)) => key.0 < bp || (key.0 == bp && key.1 < bo),
             }
         }
-        for ch in children {
+
+        let vt = self.nodes.get(&node).map_or(0.0, |n| n.vtime);
+        let mut pool = self.spare_pools.pop().unwrap_or_default();
+        let mut fs_share_total = 0.0;
+        let mut best: Option<(f64, u8, Choice)> = None;
+
+        // Tasks bound directly to this node join its pool. At the root,
+        // floating orphans count as children.
+        self.push_runnable(node, &mut pool);
+        let floating: &[ContainerId] = if node == table.root() {
+            table.floating()
+        } else {
+            &[]
+        };
+        let children = table.children(node).unwrap_or_default();
+        for &ch in children.iter().chain(floating) {
             match table.policy(ch) {
                 Ok(SchedPolicy::FixedShare { share }) => {
                     fs_share_total += share;
-                    if self.subtree_has_work(table, throttled, ch, allow_starvable) {
-                        fs_with_work.push((ch, share));
+                    if self.subtree_has_work(table, ch, allow_starvable) {
+                        let n = Self::node_mut(&mut self.nodes, &mut self.candidates, ch);
+                        let pass = n.pass.get_or_insert(vt);
+                        if *pass < vt {
+                            *pass = vt;
+                        }
+                        let key = (*pass, 0u8);
+                        if better(best, key) {
+                            best = Some((key.0, key.1, Choice::Fs(ch)));
+                        }
                     }
                 }
                 Ok(SchedPolicy::TimeShared { .. }) => {
@@ -341,56 +489,25 @@ impl MultiLevelScheduler {
         }
         // Filter pool: keep tasks that may run under the starvation rule
         // and are not fully throttled.
-        let pool: Vec<TaskId> = pool
-            .into_iter()
-            .filter(|&t| match self.task_priority(table, throttled, t) {
-                Some(0) => allow_starvable,
-                Some(_) => true,
-                None => false,
-            })
-            .collect();
+        pool.retain_mut(|e| match self.task_priority(table, e.0) {
+            Some(p) => {
+                e.1 = p;
+                p > 0 || allow_starvable
+            }
+            None => false,
+        });
 
         let pool_share = (1.0 - fs_share_total).max(0.0);
-        let vt = *self.vtimes.get(&node).unwrap_or(&0.0);
-
-        // Decide between fixed-share children and the time-share pool using
-        // stride: lowest (clamped) pass runs. A pool with zero share runs
-        // only as leftover.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Choice {
-            Fs(ContainerId),
-            Pool,
-        }
-        let mut best: Option<(f64, u8, Choice)> = None;
-        for &(ch, share) in &fs_with_work {
-            let pass = self.passes.entry(ch).or_insert(vt);
-            if *pass < vt {
-                *pass = vt;
-            }
-            let key = (*pass, 0u8, Choice::Fs(ch));
-            let better = match best {
-                None => true,
-                Some((bp, bo, _)) => key.0 < bp || (key.0 == bp && key.1 < bo),
-            };
-            if better {
-                best = Some(key);
-            }
-            let _ = share;
-            // (share is used at charge time, not selection time)
-        }
         if !pool.is_empty() {
             if pool_share > 0.0 {
-                let pass = self.pool_passes.entry(node).or_insert(vt);
+                let n = Self::node_mut(&mut self.nodes, &mut self.candidates, node);
+                let pass = n.pool_pass.get_or_insert(vt);
                 if *pass < vt {
                     *pass = vt;
                 }
-                let key = (*pass, 1u8, Choice::Pool);
-                let better = match best {
-                    None => true,
-                    Some((bp, bo, _)) => key.0 < bp || (key.0 == bp && key.1 < bo),
-                };
-                if better {
-                    best = Some(key);
+                let key = (*pass, 1u8);
+                if better(best, key) {
+                    best = Some((key.0, key.1, Choice::Pool));
                 }
             } else if best.is_none() {
                 // Leftover-only pool: runs when no fixed-share child wants
@@ -398,39 +515,72 @@ impl MultiLevelScheduler {
                 best = Some((vt, 1, Choice::Pool));
             }
         }
-        let (sel_pass, _, choice) = best?;
-        // The node's virtual time follows the pass of the selected child:
-        // children waking from idle join here instead of cashing in credit.
-        self.vtimes.insert(node, sel_pass);
-        match choice {
-            Choice::Fs(ch) => self
-                .pick_node(table, throttled, ch, now, allow_starvable)
-                .or_else(|| self.pick_from_pool(table, throttled, &pool, now, allow_starvable)),
-            Choice::Pool => self.pick_from_pool(table, throttled, &pool, now, allow_starvable),
-        }
+        let picked = best.and_then(|(sel_pass, _, choice)| {
+            // The node's virtual time follows the pass of the selected
+            // child.
+            Self::node_mut(&mut self.nodes, &mut self.candidates, node).vtime = sel_pass;
+            match choice {
+                Choice::Fs(ch) => self
+                    .pick_node(table, ch, now, allow_starvable)
+                    .or_else(|| self.pick_from_pool(&pool, now)),
+                Choice::Pool => self.pick_from_pool(&pool, now),
+            }
+        });
+        pool.clear();
+        self.spare_pools.push(pool);
+        picked
     }
 
     /// Returns the decayed usage recorded for a container, for tests.
+    /// Reads 0 for a destroyed container once no binding names it.
     pub fn container_usage(&self, c: ContainerId, now: Nanos) -> f64 {
-        self.cusage.get(&c).map(|u| u.peek(now)).unwrap_or(0.0)
+        self.nodes
+            .get(&c)
+            .and_then(|n| n.usage.as_ref())
+            .map(|u| u.peek(now))
+            .unwrap_or(0.0)
+    }
+
+    /// Returns how many containers the scheduler holds state for: the
+    /// live ones it has met plus destroyed ones a binding still names.
+    #[cfg(test)]
+    fn tracked_containers(&self) -> usize {
+        self.nodes.len()
     }
 }
 
 impl CoreScheduler for MultiLevelScheduler {
     fn add_task(&mut self, task: TaskId, binding: &[ContainerId], _now: Nanos) {
-        self.tasks.insert(
+        let old = self.tasks.insert(
             task,
             MlTask {
                 binding: Vec::new(),
                 runnable: false,
+                prio: Cell::new((0, None)),
             },
         );
+        if old.is_some_and(|t| t.runnable) {
+            self.runnable -= 1;
+        }
         self.attach_binding(task, binding);
     }
 
     fn remove_task(&mut self, task: TaskId) {
         self.detach_binding(task);
-        self.tasks.remove(&task);
+        if self.tasks.remove(task).is_some_and(|t| t.runnable) {
+            self.runnable -= 1;
+        }
+    }
+
+    fn hold_container(&mut self, c: ContainerId) {
+        self.nodes.entry(c).or_default().held = true;
+    }
+
+    fn release_container(&mut self, c: ContainerId) {
+        if let Some(n) = self.nodes.get_mut(&c) {
+            n.held = false;
+            self.sweep_due |= Self::queue_if_unnamed(&mut self.candidates, n, c);
+        }
     }
 
     fn set_binding(&mut self, task: TaskId, binding: &[ContainerId], _now: Nanos) {
@@ -439,27 +589,34 @@ impl CoreScheduler for MultiLevelScheduler {
     }
 
     fn set_runnable(&mut self, task: TaskId, runnable: bool, now: Nanos) {
-        if let Some(t) = self.tasks.get_mut(&task) {
+        if let Some(t) = self.tasks.get_mut(task) {
             if t.runnable != runnable {
                 trace::emit_at(now, || TraceEventKind::ThreadState {
                     task: task.0,
                     runnable,
                 });
+                if runnable {
+                    self.runnable += 1;
+                } else {
+                    self.runnable -= 1;
+                }
             }
             t.runnable = runnable;
         }
     }
 
     fn is_runnable(&self, task: TaskId) -> bool {
-        self.tasks.get(&task).map(|t| t.runnable).unwrap_or(false)
+        self.is_task_runnable(task)
     }
 
     fn pick(&mut self, table: &ContainerTable, now: Nanos) -> Option<Pick> {
+        self.sweep(table);
+        self.epoch += 1;
+        self.compute_throttled(table, now);
         let root = table.root();
-        let throttled = self.compute_throttled(table, now);
         let task = self
-            .pick_node(table, &throttled, root, now, false)
-            .or_else(|| self.pick_node(table, &throttled, root, now, true))?;
+            .pick_node(table, root, now, false)
+            .or_else(|| self.pick_node(table, root, now, true))?;
         trace::emit_at(now, || TraceEventKind::SchedPick {
             task: task.0,
             slice: self.quantum,
@@ -479,9 +636,10 @@ impl CoreScheduler for MultiLevelScheduler {
         now: Nanos,
     ) {
         let dt_sec = dt.as_secs_f64();
-        self.cusage
-            .entry(container)
-            .or_insert_with(|| UsageDecay::new(self.half_life))
+        let half_life = self.half_life;
+        Self::node_mut(&mut self.nodes, &mut self.candidates, container)
+            .usage
+            .get_or_insert_with(|| UsageDecay::new(half_life))
             .charge(dt, now);
 
         // Walk the chain from the charged container to the root, advancing
@@ -489,9 +647,9 @@ impl CoreScheduler for MultiLevelScheduler {
         let mut cur = container;
         loop {
             if let Some(limit) = table.attrs(cur).ok().and_then(|a| a.cpu_limit) {
-                self.buckets
-                    .entry(cur)
-                    .or_insert_with(|| TokenBucket::new(limit.fraction, limit.window))
+                Self::node_mut(&mut self.nodes, &mut self.candidates, cur)
+                    .bucket
+                    .get_or_insert_with(|| TokenBucket::new(limit.fraction, limit.window))
                     .consume(dt, now);
             }
             let parent = match table.parent(cur) {
@@ -502,7 +660,9 @@ impl CoreScheduler for MultiLevelScheduler {
             };
             match table.policy(cur) {
                 Ok(SchedPolicy::FixedShare { share }) => {
-                    let pass = self.passes.entry(cur).or_insert(0.0);
+                    let pass = Self::node_mut(&mut self.nodes, &mut self.candidates, cur)
+                        .pass
+                        .get_or_insert(0.0);
                     *pass += dt_sec / share.max(1e-6);
                 }
                 Ok(SchedPolicy::TimeShared { .. }) => {
@@ -511,17 +671,18 @@ impl CoreScheduler for MultiLevelScheduler {
                     let is_parent_pool =
                         !matches!(table.policy(parent), Ok(SchedPolicy::TimeShared { .. }));
                     if is_parent_pool {
-                        let children = table
+                        let fs_sum: f64 = table
                             .children(parent)
-                            .map(|c| c.to_vec())
-                            .unwrap_or_default();
-                        let fs_sum: f64 = children
+                            .unwrap_or_default()
                             .iter()
                             .filter_map(|&c| table.policy(c).ok().and_then(|p| p.share()))
                             .sum();
                         let pool_share = (1.0 - fs_sum).max(0.0);
                         if pool_share > 0.0 {
-                            let pass = self.pool_passes.entry(parent).or_insert(0.0);
+                            let pass =
+                                Self::node_mut(&mut self.nodes, &mut self.candidates, parent)
+                                    .pool_pass
+                                    .get_or_insert(0.0);
                             *pass += dt_sec / pool_share;
                         }
                     }
@@ -533,17 +694,17 @@ impl CoreScheduler for MultiLevelScheduler {
     }
 
     fn next_release_time(&mut self, table: &ContainerTable, now: Nanos) -> Option<Nanos> {
-        let any_runnable = self.tasks.values().any(|t| t.runnable);
-        if !any_runnable {
+        if self.runnable == 0 {
             return None;
         }
         let mut earliest: Option<Nanos> = None;
-        let ids: Vec<ContainerId> = self.buckets.keys().copied().collect();
-        for c in ids {
+        for (&c, n) in self.nodes.iter_mut() {
+            let Some(b) = n.bucket.as_mut() else {
+                continue;
+            };
             if !table.contains(c) {
                 continue;
             }
-            let b = self.buckets.get_mut(&c).expect("bucket exists");
             if !b.eligible(now) {
                 let r = b.release_time(now);
                 earliest = Some(earliest.map_or(r, |e: Nanos| e.min(r)));
@@ -559,6 +720,8 @@ impl CoreScheduler for MultiLevelScheduler {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use rescon::Attributes;
 
@@ -791,6 +954,48 @@ mod tests {
         assert!((s1 - 0.4).abs() < 0.03, "s1 = {s1}");
         assert!((s2 - 0.1).abs() < 0.03, "s2 = {s2}");
         assert!((s3 - 0.5).abs() < 0.03, "s3 = {s3}");
+    }
+
+    #[test]
+    fn destroyed_containers_are_dropped_once_unnamed() {
+        // An event-driven server serves one short-lived container per
+        // connection. A destroyed container stays in the server's binding
+        // until pruned, and only then may its state go.
+        let mut table = ContainerTable::new();
+        let class = table.create(None, Attributes::fixed_share(0.5)).unwrap();
+        let mut s = MultiLevelScheduler::new();
+        let server = TaskId(1);
+        s.add_task(server, &[class], Nanos::ZERO);
+        s.set_runnable(server, true, Nanos::ZERO);
+        let mut binding = vec![class];
+        let mut now = Nanos::ZERO;
+        for i in 0..2_000u64 {
+            let conn = table
+                .create_at(Some(class), Attributes::time_shared(10), now)
+                .unwrap();
+            binding.push(conn);
+            s.set_binding(server, &binding, now);
+            let p = s.pick(&table, now).unwrap();
+            assert_eq!(p.task, server);
+            s.charge(server, conn, p.slice, &table, now + p.slice);
+            now += p.slice;
+            assert!(table.drop_descriptor_ref(conn).unwrap());
+            // Prune: keep the newest eight containers, dead or alive.
+            if i % 16 == 15 {
+                binding.drain(1..binding.len() - 8);
+                s.set_binding(server, &binding, now);
+            }
+            s.pick(&table, now).unwrap();
+            let named_dead = binding.iter().filter(|&&c| !table.contains(c)).count();
+            assert!(
+                s.tracked_containers() <= table.len() + named_dead,
+                "tracking {} containers with {} live and {} dead named",
+                s.tracked_containers(),
+                table.len(),
+                named_dead
+            );
+        }
+        assert!(s.tracked_containers() <= 2 + 24);
     }
 
     #[test]

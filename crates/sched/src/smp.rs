@@ -6,12 +6,18 @@
 //! the task → home-CPU map plus a cache of each task's binding and
 //! runnable flag so a migration can unregister the task from its old
 //! core and re-register it — binding and runnable state intact — on the
-//! new one. With one CPU the wrapper is a pure pass-through: the call
+//! new one. It also counts, over all tasks, the bindings naming each
+//! container, and tells every core when a container becomes named or
+//! unnamed anywhere ([`CoreScheduler::hold_container`]): a core may drop
+//! a destroyed container's state only once no task on any CPU, which
+//! might migrate to it, still names the container.
+//!
+//! With one CPU the wrapper is a pure pass-through: the call
 //! sequence a core observes is identical to what the policy saw before
 //! the SMP refactor, which is what keeps single-CPU runs byte-identical.
 
 use rescon::{ContainerId, ContainerTable};
-use simcore::slab::IdSlab;
+use simcore::slab::{IdHashMap, IdSlab};
 use simcore::Nanos;
 
 use crate::api::{CoreScheduler, CpuId, Pick, Scheduler, TaskId, TaskSnapshot};
@@ -26,6 +32,8 @@ struct TaskMeta {
 pub struct PerCpu<P: CoreScheduler> {
     cores: Vec<P>,
     tasks: IdSlab<TaskId, TaskMeta>,
+    /// How many binding entries, over all tasks, name each container.
+    names: IdHashMap<ContainerId, u32>,
 }
 
 impl<P: CoreScheduler> PerCpu<P> {
@@ -36,18 +44,48 @@ impl<P: CoreScheduler> PerCpu<P> {
         Self {
             cores,
             tasks: IdSlab::new(),
+            names: IdHashMap::default(),
         }
     }
 
     fn core_of(&self, task: TaskId) -> Option<u32> {
         self.tasks.get(task).map(|m| m.cpu)
     }
+
+    /// Counts `binding` in (`up`) or out of the global name counts and
+    /// tells every core about containers that become named or unnamed.
+    /// A lone core sees every binding itself, so it is told nothing.
+    fn count_names(
+        names: &mut IdHashMap<ContainerId, u32>,
+        cores: &mut [P],
+        binding: &[ContainerId],
+        up: bool,
+    ) {
+        if cores.len() == 1 {
+            return;
+        }
+        for &c in binding {
+            let n = names.entry(c).or_insert(0);
+            if up {
+                *n += 1;
+                if *n == 1 {
+                    cores.iter_mut().for_each(|core| core.hold_container(c));
+                }
+            } else {
+                *n -= 1;
+                if *n == 0 {
+                    names.remove(&c);
+                    cores.iter_mut().for_each(|core| core.release_container(c));
+                }
+            }
+        }
+    }
 }
 
 impl<P: CoreScheduler> Scheduler for PerCpu<P> {
     fn add_task(&mut self, task: TaskId, binding: &[ContainerId], cpu: CpuId, now: Nanos) {
         let cpu = cpu.0.min(self.cores.len() as u32 - 1);
-        self.tasks.insert(
+        let old = self.tasks.insert(
             task,
             TaskMeta {
                 cpu,
@@ -55,17 +93,26 @@ impl<P: CoreScheduler> Scheduler for PerCpu<P> {
                 runnable: false,
             },
         );
+        Self::count_names(&mut self.names, &mut self.cores, binding, true);
+        if let Some(old) = old {
+            Self::count_names(&mut self.names, &mut self.cores, &old.binding, false);
+        }
         self.cores[cpu as usize].add_task(task, binding, now);
     }
 
     fn remove_task(&mut self, task: TaskId) {
         if let Some(meta) = self.tasks.remove(task) {
             self.cores[meta.cpu as usize].remove_task(task);
+            Self::count_names(&mut self.names, &mut self.cores, &meta.binding, false);
         }
     }
 
     fn set_binding(&mut self, task: TaskId, binding: &[ContainerId], now: Nanos) {
         if let Some(meta) = self.tasks.get_mut(task) {
+            // Count the new binding in before the old one out, so a
+            // container in both never looks unnamed.
+            Self::count_names(&mut self.names, &mut self.cores, binding, true);
+            Self::count_names(&mut self.names, &mut self.cores, &meta.binding, false);
             meta.binding.clear();
             meta.binding.extend_from_slice(binding);
             self.cores[meta.cpu as usize].set_binding(task, binding, now);
@@ -102,12 +149,12 @@ impl<P: CoreScheduler> Scheduler for PerCpu<P> {
         }
         let from = meta.cpu;
         meta.cpu = to.0;
-        let binding = meta.binding.clone();
-        let runnable = meta.runnable;
-        self.cores[from as usize].remove_task(task);
-        self.cores[to.0 as usize].add_task(task, &binding, now);
-        if runnable {
-            self.cores[to.0 as usize].set_runnable(task, true, now);
+        let cores = &mut self.cores;
+        cores[from as usize].remove_task(task);
+        let dest = &mut cores[to.0 as usize];
+        dest.add_task(task, &meta.binding, now);
+        if meta.runnable {
+            dest.set_runnable(task, true, now);
         }
         true
     }

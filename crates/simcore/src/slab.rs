@@ -18,10 +18,67 @@
 //! a slot still holding a *different* generation's value — that would
 //! mean a connection was torn down without releasing its charges, the
 //! slab analogue of a use-after-free.
+//!
+//! Container ids are reused the same way, but per-container scheduler
+//! state legitimately outlives its container for a while (a destroyed
+//! container stays in a thread's scheduler binding until pruned) while
+//! the recycled slot already holds a new one. Both ids must coexist, so
+//! that state lives in an [`IdHashMap`]: a `HashMap` keyed by the full
+//! id with a one-multiply hasher instead of SipHash.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::marker::PhantomData;
 
 use crate::arena::Idx;
+
+/// A `HashMap` for keys that are small kernel-assigned integers, such as
+/// generational arena ids whose slots are reused (so a slot-indexed
+/// table would need a collision rule). Iteration order is unspecified:
+/// use it only where nothing depends on that order.
+pub type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// The hasher behind [`IdHashMap`]: one multiply-rotate step (FxHash's)
+/// per integer written. Ids are not attacker-chosen, so SipHash's
+/// flooding resistance buys nothing on per-decision paths.
+#[derive(Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    #[inline]
+    fn add(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// A key that is a dense, never-reused small integer.
 pub trait SlabKey: Copy {
@@ -323,5 +380,27 @@ impl<T, V> SockTable<T, V> {
             self.insert(id, default);
         }
         self.get_mut(id).expect("just filled")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::arena::Arena;
+
+    #[test]
+    fn id_hash_map_tells_generations_of_one_slot_apart() {
+        let mut arena: Arena<u8> = Arena::new();
+        let old = arena.insert(1);
+        arena.remove(old);
+        let new = arena.insert(2);
+        assert_eq!(old.slot(), new.slot());
+        let mut m: IdHashMap<Idx<u8>, &str> = IdHashMap::default();
+        m.insert(old, "dead");
+        m.insert(new, "live");
+        assert_eq!(m.len(), 2);
+        assert_eq!(m[&old], "dead");
+        assert_eq!(m.remove(&new), Some("live"));
+        assert_eq!(m.get(&new), None);
     }
 }

@@ -518,6 +518,12 @@ pub struct Kernel {
     /// Reusable world-action buffer, same idea for `PacketToWorld` and
     /// `WorldTimer` events.
     world_buf: Vec<WorldAction>,
+    /// Reusable buffer for the idle path's scan of parked kernel network
+    /// threads with pending backlog.
+    parked_buf: Vec<(Pid, TaskId)>,
+    /// Reusable per-CPU `(runnable app threads, lowest such id)` tallies
+    /// for `steal_candidate`.
+    steal_buf: Vec<(usize, Option<TaskId>)>,
     /// Foreign-address prefixes owned by *other* cluster nodes: a
     /// world-bound packet whose flow source matches one of these is
     /// diverted into `egress_buf` (for the cluster driver to carry over an
@@ -593,6 +599,8 @@ impl Kernel {
             spans_on: false,
             net_buf: Vec::new(),
             world_buf: Vec::new(),
+            parked_buf: Vec::new(),
+            steal_buf: Vec::new(),
             egress_filter: None,
             egress_buf: Vec::new(),
             cfg,
@@ -1054,11 +1062,9 @@ impl Kernel {
                 // their pending (possibly starvable) backlog: priority
                 // zero means "run only when nothing else wants the
                 // CPU" — which is now.
-                let parked: Vec<(Pid, TaskId)> = self
-                    .kthreads
-                    .iter()
-                    .map(|(pid, &ktid)| (pid, ktid))
-                    .filter(|&(pid, ktid)| {
+                let mut parked = std::mem::take(&mut self.parked_buf);
+                parked.extend(self.kthreads.iter().map(|(pid, &ktid)| (pid, ktid)).filter(
+                    |&(pid, ktid)| {
                         self.threads
                             .get(ktid)
                             .map(|t| !t.has_work())
@@ -1068,12 +1074,15 @@ impl Kernel {
                                 .get(pid)
                                 .map(|q| !q.is_empty())
                                 .unwrap_or(false)
-                    })
-                    .collect();
-                if !parked.is_empty() {
-                    for (pid, ktid) in parked {
-                        self.kthread_refill_inner(pid, ktid, true);
-                    }
+                    },
+                ));
+                let any_parked = !parked.is_empty();
+                for &(pid, ktid) in &parked {
+                    self.kthread_refill_inner(pid, ktid, true);
+                }
+                parked.clear();
+                self.parked_buf = parked;
+                if any_parked {
                     return StepOutcome::Progress;
                 }
                 // Work conservation (multiprocessor only): before going
@@ -1170,6 +1179,37 @@ impl Kernel {
     // Container-aware load balancing (multiprocessor only)
     // ------------------------------------------------------------------
 
+    /// Picks a thread for an idle CPU to steal: the lowest-id runnable
+    /// application thread on the CPU with the deepest runnable backlog
+    /// (ties broken toward the lowest CPU id). Only CPUs with at least
+    /// two waiting threads are victims — stealing a CPU's sole runnable
+    /// thread would just move the work without creating parallelism.
+    fn steal_candidate(&mut self, thief: usize) -> Option<(TaskId, usize)> {
+        let mut tally = std::mem::take(&mut self.steal_buf);
+        tally.clear();
+        tally.resize(self.cpus.len(), (0, None));
+        // Threads iterate in ascending id, so the first one seen on a
+        // CPU is its lowest.
+        for (tid, th) in self.threads.iter() {
+            if th.kind == ThreadKind::App && th.state == ThreadState::Runnable {
+                let cpu = self.scheduler.cpu_of(tid);
+                if let Some((n, first)) = cpu.and_then(|c| tally.get_mut(c.0 as usize)) {
+                    *n += 1;
+                    first.get_or_insert(tid);
+                }
+            }
+        }
+        let mut best: Option<(usize, TaskId, usize)> = None;
+        for (victim, &(n, first)) in tally.iter().enumerate() {
+            if victim == thief || n < 2 || best.is_some_and(|(bn, _, _)| n <= bn) {
+                continue;
+            }
+            best = first.map(|t| (n, t, victim));
+        }
+        self.steal_buf = tally;
+        best.map(|(_, t, victim)| (t, victim))
+    }
+
     /// Periodic container-aware load balancing. Containers are ranked by
     /// how far they lag their *global* entitlement over the last window
     /// (`effective_share × ncpus × window` versus the growth of their
@@ -1180,36 +1220,6 @@ impl Kernel {
     /// is what keeps fixed shares global while run queues are per-CPU.
     /// Kernel network threads are pinned to their container's home CPU and
     /// never migrate.
-    /// Picks a thread for an idle CPU to steal: the lowest-id runnable
-    /// application thread on the CPU with the deepest runnable backlog
-    /// (ties broken toward the lowest CPU id). Only CPUs with at least
-    /// two waiting threads are victims — stealing a CPU's sole runnable
-    /// thread would just move the work without creating parallelism.
-    fn steal_candidate(&self, thief: usize) -> Option<(TaskId, usize)> {
-        let ncpus = self.cpus.len();
-        let mut best: Vec<TaskId> = Vec::new();
-        let mut from = thief;
-        for victim in 0..ncpus {
-            if victim == thief {
-                continue;
-            }
-            let mut queued: Vec<TaskId> = Vec::new();
-            for (tid, th) in self.threads.iter() {
-                if th.kind == ThreadKind::App
-                    && th.state == ThreadState::Runnable
-                    && self.scheduler.cpu_of(tid) == Some(CpuId(victim as u32))
-                {
-                    queued.push(tid);
-                }
-            }
-            if queued.len() >= 2 && queued.len() > best.len() {
-                best = queued;
-                from = victim;
-            }
-        }
-        best.first().map(|&t| (t, from))
-    }
-
     fn rebalance(&mut self) {
         let ncpus = self.cfg.sched.ncpus as usize;
         if ncpus > 1 {
