@@ -85,7 +85,7 @@ impl<P: CoreScheduler> PerCpu<P> {
 impl<P: CoreScheduler> Scheduler for PerCpu<P> {
     fn add_task(&mut self, task: TaskId, binding: &[ContainerId], cpu: CpuId, now: Nanos) {
         let cpu = cpu.0.min(self.cores.len() as u32 - 1);
-        let old = self.tasks.insert(
+        self.tasks.insert(
             task,
             TaskMeta {
                 cpu,
@@ -94,9 +94,6 @@ impl<P: CoreScheduler> Scheduler for PerCpu<P> {
             },
         );
         Self::count_names(&mut self.names, &mut self.cores, binding, true);
-        if let Some(old) = old {
-            Self::count_names(&mut self.names, &mut self.cores, &old.binding, false);
-        }
         self.cores[cpu as usize].add_task(task, binding, now);
     }
 
